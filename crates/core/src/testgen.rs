@@ -7,12 +7,19 @@
 //! vector or proves the path infeasible.  The paper (citing Tracey et al.)
 //! expects the heuristic phase to cover more than 90 % of the required test
 //! cases; the `testgen` experiment of EXPERIMENTS.md checks that ratio.
+//!
+//! Each generation of the genetic search runs the target once per
+//! never-seen input: individuals are dense genomes, and a per-call memo
+//! keeps the goals every evaluated genome exercises, so elites carried over
+//! and crossovers that recreate a known vector cost one hash probe.  The
+//! two phases are traced as the `testgen:heuristic` and `testgen:checker`
+//! spans.
 
 use crate::partition::{PartitionPlan, SegmentId, SegmentKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -192,11 +199,12 @@ pub struct HybridGenerator {
     /// Select the optimised generation pipeline: all of a function's
     /// residual goals are answered through one shared state-space
     /// exploration ([`ModelChecker::check_many`]) instead of one search per
-    /// goal, and goal matching in the heuristic phase runs through the
-    /// precomputed allocation-free matcher.  When disabled, the whole legacy
-    /// pipeline is restored (per-goal searches, allocation-per-call
-    /// matching) as the benchmark's measured reference.  Results are
-    /// bit-identical either way.
+    /// goal, and the heuristic phase runs the target once per distinct
+    /// input, matching goals through the precomputed allocation-free
+    /// matcher.  When disabled, the whole legacy pipeline is restored
+    /// (per-goal searches, a target run per individual per generation,
+    /// allocation-per-call matching) as the benchmark's measured reference.
+    /// Results are bit-identical either way.
     pub batch_queries: bool,
 }
 
@@ -241,7 +249,8 @@ impl HybridGenerator {
     }
 
     /// Restores the legacy generation pipeline — one model-checker search
-    /// per residual goal and allocation-per-call goal matching (used by the
+    /// per residual goal, a target run per individual per generation and
+    /// allocation-per-call goal matching (used by the
     /// benchmark harness as the pre-optimisation reference; results are
     /// identical either way).
     pub fn unbatched(mut self) -> HybridGenerator {
@@ -341,7 +350,10 @@ impl HybridGenerator {
         let mut status: Vec<Option<CoverageStatus>> = vec![None; goals.len()];
 
         // Phase 1: heuristic (genetic) search.
-        self.heuristic_phase(function, &machine, &goals, &mut status);
+        {
+            let _span = tmg_obs::span("testgen:heuristic");
+            self.heuristic_phase(function, &machine, &goals, &mut status);
+        }
 
         // Phase 2: model checking for the residual goals.  The default path
         // batches every residual query of the function through one shared
@@ -349,6 +361,7 @@ impl HybridGenerator {
         // the semantics reference) fans the independent queries out across
         // cores once there are enough of them to amortise the pool overhead.
         // All variants merge in goal order and produce identical suites.
+        let _span = tmg_obs::span("testgen:checker");
         let residual: Vec<usize> = (0..goals.len()).filter(|&i| status[i].is_none()).collect();
         // A lazily supplied model is materialised only for a non-empty
         // residual batch on the batching pipeline.
@@ -391,15 +404,6 @@ impl HybridGenerator {
         goals: &[CoverageGoal],
         status: &mut [Option<CoverageStatus>],
     ) {
-        let mut rng = StdRng::seed_from_u64(self.heuristic.seed);
-        // The optimised pipeline matches goals against runs through
-        // pre-computed per-goal state; the legacy pipeline (the benchmark's
-        // measured reference) keeps the allocation-per-call matching.
-        let mut matcher = if self.batch_queries {
-            Some(GoalMatcher::new(goals))
-        } else {
-            None
-        };
         let domains: Vec<(String, i64, i64)> = function
             .params
             .iter()
@@ -421,6 +425,162 @@ impl HybridGenerator {
             }
             return;
         }
+        if self.batch_queries {
+            self.genetic_search(machine, goals, &domains, status);
+        } else {
+            self.genetic_search_reference(machine, goals, &domains, status);
+        }
+    }
+
+    /// The genetic search of the optimised pipeline.  Individuals are dense
+    /// genomes (one value per parameter, in parameter order) and every
+    /// generation runs the target once per *never-seen* genome: a per-call
+    /// memo keeps the goals each genome's run exercises, so elites and
+    /// recombined duplicates cost one hash probe.  The RNG draws, fitness
+    /// and first-coverer attribution are those of
+    /// [`genetic_search_reference`](HybridGenerator::genetic_search_reference),
+    /// so the suites are bit-identical.
+    fn genetic_search(
+        &self,
+        machine: &Machine<'_>,
+        goals: &[CoverageGoal],
+        domains: &[(String, i64, i64)],
+        status: &mut [Option<CoverageStatus>],
+    ) {
+        let config = &self.heuristic;
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut matcher = GoalMatcher::new(goals);
+        let to_vector = |genome: &[i64]| -> InputVector {
+            domains
+                .iter()
+                .zip(genome)
+                .map(|((name, _, _), value)| (name.clone(), *value))
+                .collect()
+        };
+        // Genome -> ascending indices of the goals its run exercises, or
+        // `None` when the run faults on the target.
+        let mut memo: FxHashMap<Box<[i64]>, Option<Box<[usize]>>> = FxHashMap::default();
+        let mut uncovered = status.iter().filter(|s| s.is_none()).count();
+        let mut population: Vec<Box<[i64]>> = (0..config.population)
+            .map(|_| {
+                domains
+                    .iter()
+                    .map(|(_, lo, hi)| rng.gen_range(*lo..=*hi))
+                    .collect()
+            })
+            .collect();
+        let mut stall = 0usize;
+        // Fan the runs out only once a generation's misses are demonstrably
+        // expensive enough to amortise the pool dispatch.
+        let mut eval_in_parallel = false;
+        for _generation in 0..config.max_generations {
+            let mut fresh: Vec<&[i64]> = Vec::new();
+            for genome in &population {
+                if !memo.contains_key(&**genome) && !fresh.contains(&&**genome) {
+                    fresh.push(genome);
+                }
+            }
+            let run = |genome: &&[i64]| machine.run(&to_vector(genome), &[]).ok();
+            let runs: Vec<Option<tmg_target::RunResult>> =
+                if self.parallel && eval_in_parallel && fresh.len() > 1 {
+                    fresh.par_iter().map(run).collect()
+                } else {
+                    let eval_start = std::time::Instant::now();
+                    let runs = fresh.iter().map(run).collect();
+                    eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
+                    runs
+                };
+            for (genome, run) in fresh.into_iter().zip(runs) {
+                let exercised = run.map(|run| {
+                    (0..goals.len())
+                        .filter(|&i| matcher.matches(i, &run))
+                        .collect()
+                });
+                memo.insert(genome.into(), exercised);
+            }
+
+            let mut new_coverage = false;
+            // (fitness, population index), in population order.
+            let mut scored: Vec<(usize, usize)> = Vec::with_capacity(population.len());
+            for (k, genome) in population.iter().enumerate() {
+                let Some(exercised) = &memo[&**genome] else {
+                    scored.push((0, k));
+                    continue;
+                };
+                let mut vector: Option<InputVector> = None;
+                let mut newly = 0;
+                for &i in exercised.iter() {
+                    let slot = &mut status[i];
+                    if slot.is_none() {
+                        let vector = vector.get_or_insert_with(|| to_vector(genome));
+                        *slot = Some(CoverageStatus::Covered {
+                            vector: vector.clone(),
+                            by: GeneratorKind::Heuristic,
+                        });
+                        newly += 1;
+                    }
+                }
+                uncovered -= newly;
+                new_coverage |= newly > 0;
+                scored.push((exercised.len() + newly * 4, k));
+            }
+            if uncovered == 0 {
+                return;
+            }
+            stall = if new_coverage { 0 } else { stall + 1 };
+            if stall >= config.stall_generations {
+                return;
+            }
+            // Next generation: elitism + tournament crossover + mutation.
+            scored.sort_by_key(|(score, _)| std::cmp::Reverse(*score));
+            let mut next: Vec<Box<[i64]>> = scored
+                .iter()
+                .take((config.population / 4).max(1))
+                .map(|&(_, k)| population[k].clone())
+                .collect();
+            while next.len() < config.population {
+                let pick = |rng: &mut StdRng| -> usize {
+                    let a = rng.gen_range(0..scored.len());
+                    let b = rng.gen_range(0..scored.len());
+                    if scored[a].0 >= scored[b].0 {
+                        scored[a].1
+                    } else {
+                        scored[b].1
+                    }
+                };
+                let mother = pick(&mut rng);
+                let father = pick(&mut rng);
+                let child = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(p, (_, lo, hi))| {
+                        let parent = if rng.gen_bool(0.5) { mother } else { father };
+                        let inherited = population[parent][p];
+                        if rng.gen_bool(config.mutation_rate) {
+                            rng.gen_range(*lo..=*hi)
+                        } else {
+                            inherited
+                        }
+                    })
+                    .collect();
+                next.push(child);
+            }
+            population = next;
+        }
+    }
+
+    /// The legacy genetic search over named input vectors, re-running every
+    /// individual of every generation: the unbatched pipeline's measured
+    /// reference and the oracle of the memoised
+    /// [`genetic_search`](HybridGenerator::genetic_search).
+    fn genetic_search_reference(
+        &self,
+        machine: &Machine<'_>,
+        goals: &[CoverageGoal],
+        domains: &[(String, i64, i64)],
+        status: &mut [Option<CoverageStatus>],
+    ) {
+        let mut rng = StdRng::seed_from_u64(self.heuristic.seed);
         let random_vector = |rng: &mut StdRng| -> InputVector {
             domains
                 .iter()
@@ -431,9 +591,6 @@ impl HybridGenerator {
             .map(|_| random_vector(&mut rng))
             .collect();
         let mut stall = 0usize;
-        // Fan the evaluation out only once a generation is demonstrably
-        // expensive enough to amortise the pool dispatch (measured on the
-        // first sequential generations).
         let mut eval_in_parallel = false;
         for _generation in 0..self.heuristic.max_generations {
             // Evaluate the whole generation on the target first — runs are
@@ -464,31 +621,9 @@ impl HybridGenerator {
                 };
                 // Fitness: how many goals (covered or not) this run exercises,
                 // which rewards individuals that reach deep code.
-                let (newly, exercised) = if let Some(matcher) = matcher.as_mut() {
-                    // Optimised pipeline: one matching pass per goal serves
-                    // both coverage recording and the fitness count.
-                    let mut newly = 0;
-                    let mut exercised = 0;
-                    for (i, _) in goals.iter().enumerate() {
-                        if !matcher.matches(i, run) {
-                            continue;
-                        }
-                        exercised += 1;
-                        if status[i].is_none() {
-                            status[i] = Some(CoverageStatus::Covered {
-                                vector: individual.clone(),
-                                by: GeneratorKind::Heuristic,
-                            });
-                            newly += 1;
-                        }
-                    }
-                    (newly, exercised)
-                } else {
-                    let newly =
-                        record_coverage(individual, run, goals, status, GeneratorKind::Heuristic);
-                    let exercised = goals.iter().filter(|g| goal_matches(g, run)).count();
-                    (newly, exercised)
-                };
+                let newly =
+                    record_coverage(individual, run, goals, status, GeneratorKind::Heuristic);
+                let exercised = goals.iter().filter(|g| goal_matches(g, run)).count();
                 new_coverage |= newly > 0;
                 scored.push((exercised + newly * 4, individual.clone()));
             }
@@ -520,7 +655,7 @@ impl HybridGenerator {
                 let mother = pick(&mut rng).clone();
                 let father = pick(&mut rng).clone();
                 let mut child = InputVector::new();
-                for (name, lo, hi) in &domains {
+                for (name, lo, hi) in domains {
                     let from_mother = rng.gen_bool(0.5);
                     let inherited = if from_mother {
                         mother.get(name)
@@ -688,8 +823,8 @@ fn goal_matches(goal: &CoverageGoal, run: &tmg_target::RunResult) -> bool {
 /// Allocation-free goal matching for the heuristic phase's inner loop.
 ///
 /// [`PathSpec::matches_trace`] rebuilds the relevant-statement set and the
-/// restricted trace on every call; the fitness evaluation calls it for every
-/// `(goal, individual)` pair of every generation, which made the matching —
+/// restricted trace on every call; the genetic search matches every goal
+/// against every never-seen individual's run, which made the matching —
 /// not the target runs — the dominant cost on small functions.  The matcher
 /// computes each goal's relevant set once as a dense bitmap over statement
 /// ids (one array index per trace element instead of a hash probe) and

@@ -14,6 +14,13 @@
 //! naturally in the encoder (variable range analysis and statement
 //! concatenation); the remaining optimisations are source-to-source passes in
 //! [`crate::opt`].
+//!
+//! Statement concatenation is one forward pass over the transitions with
+//! in/out-degree arrays indexed by location: O(T + L + F·E) for T
+//! transitions, L locations and F fusions of effects of size E, where
+//! restarting the scan after every fusion cost O(F·T²).  Range analysis
+//! collects the constant-assignment spans of all variables in one walk of
+//! the body.
 
 use crate::model::{LocId, Model, StateVar, Transition, VarRole};
 use std::collections::HashMap;
@@ -63,9 +70,15 @@ impl EncodeOptions {
 /// # Ok::<(), tmg_minic::Error>(())
 /// ```
 pub fn encode_function(function: &Function, options: &EncodeOptions) -> Model {
+    let const_spans = if options.range_analysis {
+        constant_assignment_spans(function)
+    } else {
+        HashMap::new()
+    };
     let mut enc = Encoder {
         function,
         options: *options,
+        const_spans,
         transitions: Vec::new(),
         next_loc: 0,
     };
@@ -75,6 +88,8 @@ pub fn encode_function(function: &Function, options: &EncodeOptions) -> Model {
 struct Encoder<'f> {
     function: &'f Function,
     options: EncodeOptions,
+    /// Constant-assignment spans for range analysis (empty without it).
+    const_spans: HashMap<&'f str, Option<(i64, i64)>>,
     transitions: Vec<Transition>,
     next_loc: u32,
 }
@@ -145,7 +160,7 @@ impl<'f> Encoder<'f> {
 
     fn encode_var(&self, decl: &VarDecl, role: VarRole) -> StateVar {
         let domain = if self.options.range_analysis {
-            analysed_domain(self.function, decl)
+            analysed_domain(decl, &self.const_spans)
         } else {
             storage_domain(decl.ty)
         };
@@ -347,8 +362,9 @@ fn storage_domain(ty: Ty) -> (i64, i64) {
 }
 
 /// Range analysis (Section 3.2.4): declared type, `__range` annotations from
-/// the code generator, boolean narrowing, and constant-assignment analysis.
-fn analysed_domain(function: &Function, decl: &VarDecl) -> (i64, i64) {
+/// the code generator, boolean narrowing, and constant-assignment analysis
+/// over the spans of [`constant_assignment_spans`].
+fn analysed_domain(decl: &VarDecl, const_spans: &HashMap<&str, Option<(i64, i64)>>) -> (i64, i64) {
     if let Some(r) = decl.range {
         return r;
     }
@@ -359,23 +375,11 @@ fn analysed_domain(function: &Function, decl: &VarDecl) -> (i64, i64) {
     // constant and every assignment to it is a constant, its domain is the
     // span of those constants.
     if let Some(Expr::Int(init)) = decl.init {
-        let mut lo = init;
-        let mut hi = init;
-        let mut all_const = true;
-        function.for_each_stmt(&mut |s| {
-            if let Stmt::Assign { target, value, .. } = s {
-                if target == &decl.name {
-                    match value {
-                        Expr::Int(v) => {
-                            lo = lo.min(*v);
-                            hi = hi.max(*v);
-                        }
-                        _ => all_const = false,
-                    }
-                }
-            }
-        });
-        if all_const {
+        let span = match const_spans.get(decl.name.as_str()) {
+            None => Some((init, init)),
+            Some(assigned) => assigned.map(|(lo, hi)| (init.min(lo), init.max(hi))),
+        };
+        if let Some((lo, hi)) = span {
             return (
                 decl.ty.wrap(lo).min(decl.ty.wrap(hi)),
                 decl.ty.wrap(hi).max(decl.ty.wrap(lo)),
@@ -385,11 +389,106 @@ fn analysed_domain(function: &Function, decl: &VarDecl) -> (i64, i64) {
     decl.ty.value_range()
 }
 
-/// Statement concatenation (Section 3.2.3): repeatedly fuse `A --e1--> B
-/// --e2--> C` into `A --e1∪e2--> C` when both transitions are plain
-/// assignments, `B` has no other uses, and the statements are independent
-/// (the first writes nothing the second reads or writes).
+/// The span of the constants assigned to each assigned variable, from one
+/// walk of the body; `None` for a variable that is assigned a non-constant
+/// value anywhere.
+fn constant_assignment_spans(function: &Function) -> HashMap<&str, Option<(i64, i64)>> {
+    let mut spans: HashMap<&str, Option<(i64, i64)>> = HashMap::new();
+    function.for_each_stmt(&mut |s| {
+        if let Stmt::Assign { target, value, .. } = s {
+            let span = spans
+                .entry(target.as_str())
+                .or_insert(Some((i64::MAX, i64::MIN)));
+            *span = match (value, *span) {
+                (Expr::Int(v), Some((lo, hi))) => Some((lo.min(*v), hi.max(*v))),
+                _ => None,
+            };
+        }
+    });
+    spans
+}
+
+/// Statement concatenation (Section 3.2.3): fuse `A --e1--> B --e2--> C`
+/// into `A --e1∪e2--> C` when both transitions are plain assignments, `B`
+/// has no other uses, and the statements are independent (the first writes
+/// nothing the second reads or writes).
+///
+/// One forward pass performs exactly the fusions of rescanning from the
+/// first transition after every fusion.  Fusing at `i` removes `B` and
+/// leaves every other location's degrees unchanged; the only successor
+/// whose effect changes is `t_i`, and its effect only grows, so the
+/// independence check can only get stricter and no transition already
+/// passed can become eligible.  `t_i` itself is re-checked against its new
+/// successor until it is no longer eligible.
 fn concatenate_statements(model: &mut Model) {
+    let locations = model.locations as usize;
+    let mut incoming = vec![0u32; locations];
+    let mut outgoing = vec![0u32; locations];
+    // An outgoing transition of each location: the only one while the
+    // location's out-degree is 1 (fusions change no other location's
+    // outgoing set).
+    let mut successor = vec![usize::MAX; locations];
+    for (k, t) in model.transitions.iter().enumerate() {
+        incoming[t.to.index()] += 1;
+        outgoing[t.from.index()] += 1;
+        successor[t.from.index()] = k;
+    }
+    let mut removed = vec![false; model.transitions.len()];
+    let mut i = 0;
+    while i < model.transitions.len() {
+        let t1 = &model.transitions[i];
+        let mid = t1.to;
+        if removed[i]
+            || t1.guard.is_some()
+            || t1.decision.is_some()
+            || mid == model.final_loc
+            || mid == model.initial
+            || incoming[mid.index()] != 1
+            || outgoing[mid.index()] != 1
+        {
+            i += 1;
+            continue;
+        }
+        let j = successor[mid.index()];
+        let t2 = &model.transitions[j];
+        if t2.guard.is_some() || t2.decision.is_some() {
+            i += 1;
+            continue;
+        }
+        // Independence: writes of t1 must not feed reads or writes of t2.
+        let (reads, writes) = (t2.read_vars(), t2.written_vars());
+        if t1
+            .effect
+            .iter()
+            .any(|(w, _)| reads.contains(&w.as_str()) || writes.contains(&w.as_str()))
+        {
+            i += 1;
+            continue;
+        }
+        // Fuse.  `B` is left without transitions and unreachable, so its
+        // degrees are never read again.  An unguarded, effect-free self-loop
+        // on an otherwise unreachable `B` (`j == i`) fuses with itself into
+        // nothing.
+        removed[j] = true;
+        if j != i {
+            let effect = std::mem::take(&mut model.transitions[j].effect);
+            let to = model.transitions[j].to;
+            let t1 = &mut model.transitions[i];
+            t1.effect.extend(effect);
+            t1.to = to;
+        }
+    }
+    let mut k = 0;
+    model.transitions.retain(|_| {
+        k += 1;
+        !removed[k - 1]
+    });
+}
+
+/// The restart-from-scratch statement concatenation that
+/// [`concatenate_statements`] replaces, kept as the tests' oracle.
+#[cfg(test)]
+fn concatenate_statements_reference(model: &mut Model) {
     loop {
         let mut fused = false;
         'outer: for i in 0..model.transitions.len() {
@@ -438,6 +537,43 @@ fn concatenate_statements(model: &mut Model) {
             return;
         }
     }
+}
+
+/// The per-variable walk that [`constant_assignment_spans`] replaces, kept
+/// as the tests' oracle.
+#[cfg(test)]
+fn analysed_domain_reference(function: &Function, decl: &VarDecl) -> (i64, i64) {
+    if let Some(r) = decl.range {
+        return r;
+    }
+    if decl.ty == Ty::Bool {
+        return (0, 1);
+    }
+    if let Some(Expr::Int(init)) = decl.init {
+        let mut lo = init;
+        let mut hi = init;
+        let mut all_const = true;
+        function.for_each_stmt(&mut |s| {
+            if let Stmt::Assign { target, value, .. } = s {
+                if target == &decl.name {
+                    match value {
+                        Expr::Int(v) => {
+                            lo = lo.min(*v);
+                            hi = hi.max(*v);
+                        }
+                        _ => all_const = false,
+                    }
+                }
+            }
+        });
+        if all_const {
+            return (
+                decl.ty.wrap(lo).min(decl.ty.wrap(hi)),
+                decl.ty.wrap(hi).max(decl.ty.wrap(lo)),
+            );
+        }
+    }
+    decl.ty.value_range()
 }
 
 /// Renumbers locations densely after passes removed some, keeping the
@@ -542,6 +678,134 @@ mod tests {
         );
         // `b = a + 1` reads what the first statement writes: must stay split.
         assert!(fused.transitions.iter().all(|t| t.effect.len() <= 1));
+    }
+
+    /// Encoded-corpus functions: generated automotive code (the benchmark's
+    /// small-domain shape and the small test shape), `module_gen` bodies,
+    /// the wiper controller, the Table-2 module and Figure 1.
+    fn corpus() -> Vec<Function> {
+        use tmg_codegen::{
+            figure1_function, generate_automotive, generate_module, table2_function,
+            wiper_function, AutomotiveConfig, ModuleGenConfig,
+        };
+        let mut corpus: Vec<Function> = (1..=16)
+            .map(|seed| {
+                generate_automotive(&AutomotiveConfig {
+                    seed,
+                    target_blocks: 40,
+                    switch_arms: 3,
+                    max_if_depth: 2,
+                    sensor_inputs: 1,
+                    mode_inputs: 1,
+                })
+                .function
+            })
+            .collect();
+        corpus.extend(
+            (1..=4).map(|seed| generate_automotive(&AutomotiveConfig::small(seed)).function),
+        );
+        corpus.extend(generate_module(&ModuleGenConfig::bench()).program.functions);
+        corpus.extend([
+            wiper_function(),
+            table2_function(),
+            figure1_function(true),
+            figure1_function(false),
+            // Write-after-write and read-after-write chains must stay split.
+            parse_function(
+                "void chains(int a, int b, int c) { a = 1; a = 2; b = a; c = 3; b = 4; }",
+            )
+            .expect("parse"),
+        ]);
+        corpus
+    }
+
+    /// The corpus optimised under `opts`, with the encoder options they imply.
+    fn corpus_models(opts: &crate::opt::Optimisations) -> Vec<(Function, EncodeOptions)> {
+        corpus()
+            .iter()
+            .map(|f| {
+                (
+                    crate::opt::apply_optimisations(f, opts).0,
+                    opts.encode_options(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_pass_concatenation_matches_the_restarting_reference() {
+        let concat_only = crate::opt::Optimisations {
+            statement_concatenation: true,
+            ..crate::opt::Optimisations::none()
+        };
+        let mut fusions = 0;
+        for opts in [crate::opt::Optimisations::all(), concat_only] {
+            for (f, options) in corpus_models(&opts) {
+                let base = encode_function(
+                    &f,
+                    &EncodeOptions {
+                        concat_statements: false,
+                        ..options
+                    },
+                );
+                let mut fast = base.clone();
+                concatenate_statements(&mut fast);
+                compact_locations(&mut fast);
+                let mut reference = base.clone();
+                concatenate_statements_reference(&mut reference);
+                compact_locations(&mut reference);
+                assert_eq!(fast, reference, "concatenation diverges on {}", f.name);
+                assert_eq!(encode_function(&f, &options), fast, "{}", f.name);
+                fusions += base.transitions.len() - fast.transitions.len();
+            }
+        }
+        assert!(fusions > 0, "the corpus must exercise fusions");
+    }
+
+    #[test]
+    fn an_unguarded_effect_free_self_loop_fuses_away_like_the_reference() {
+        // l2 is reachable only from itself: its unguarded, effect-free
+        // self-loop passes every fusion condition with `j == i`.
+        let skip = |from: u32, to: u32| Transition {
+            from: LocId(from),
+            guard: None,
+            effect: Vec::new(),
+            to: LocId(to),
+            decision: None,
+        };
+        let model = Model {
+            name: "self_loop".into(),
+            vars: Vec::new(),
+            locations: 4,
+            initial: LocId(0),
+            final_loc: LocId(1),
+            transitions: vec![skip(0, 3), skip(2, 2), skip(3, 1)],
+        };
+        let mut fast = model.clone();
+        concatenate_statements(&mut fast);
+        let mut reference = model;
+        concatenate_statements_reference(&mut reference);
+        assert_eq!(fast, reference);
+        assert_eq!(fast.transitions, vec![skip(0, 1)]);
+    }
+
+    #[test]
+    fn one_walk_domains_match_the_per_variable_walk() {
+        for (f, _) in corpus_models(&crate::opt::Optimisations::all())
+            .into_iter()
+            .chain(corpus().into_iter().map(|f| (f, EncodeOptions::naive())))
+        {
+            let spans = constant_assignment_spans(&f);
+            for decl in f.params.iter().chain(&f.locals) {
+                assert_eq!(
+                    analysed_domain(decl, &spans),
+                    analysed_domain_reference(&f, decl),
+                    "{}::{}",
+                    f.name,
+                    decl.name
+                );
+            }
+        }
     }
 
     #[test]

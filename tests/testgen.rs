@@ -80,3 +80,95 @@ fn infeasible_paths_are_only_reported_when_truly_contradictory() {
     assert_eq!(suite.covered_count(), 2);
     assert_eq!(suite.unknown_count(), 0);
 }
+
+/// A 2–3-parameter function over small domains with a needle for the
+/// checker, an infeasible pair and an input that faults the target.
+fn small_domain_source(k: i64) -> String {
+    let third = if k % 3 == 2 { ", bool c" } else { "" };
+    let third_use = if k % 3 == 2 {
+        "if (c) { r = r + 3; }"
+    } else {
+        ""
+    };
+    format!(
+        r#"
+        int f{k}(char a __range(0, {a_hi}), int b __range(-{b_hi}, {b_hi}){third}) {{
+            int r = 0;
+            if (a > {t}) {{ r = r + 1; }} else {{ low(); }}
+            if (b == {needle}) {{ rare(); }}
+            if (a > {a_hi} && b < 0) {{ never(); }}
+            switch (a) {{
+            case 1: r = r + 2; break;
+            case 2: r = 100 / (b - {div}); break;
+            default: other(); break;
+            }}
+            {third_use}
+            return r;
+        }}
+        "#,
+        a_hi = 2 + k % 5,
+        b_hi = 3 + 7 * k,
+        t = k % 3,
+        needle = (5 * k) % (3 + 7 * k),
+        div = k % 4,
+    )
+}
+
+#[test]
+fn memoised_heuristic_phase_matches_the_legacy_search_on_a_seeded_corpus() {
+    use tmg_codegen::{generate_automotive, generate_module, AutomotiveConfig, ModuleGenConfig};
+
+    let mut corpus: Vec<tmg_minic::ast::Function> = (1..=32)
+        .map(|seed| {
+            generate_automotive(&AutomotiveConfig {
+                seed,
+                target_blocks: 40,
+                switch_arms: 3,
+                max_if_depth: 2,
+                sensor_inputs: 1,
+                mode_inputs: 1,
+            })
+            .function
+        })
+        .collect();
+    corpus.extend(
+        (0..16).map(|k| tmg_minic::parse_function(&small_domain_source(k)).expect("parse")),
+    );
+    corpus.extend(
+        generate_module(&ModuleGenConfig::small(7))
+            .program
+            .functions
+            .into_iter()
+            .chain(
+                generate_module(&ModuleGenConfig::bench())
+                    .program
+                    .functions
+                    .into_iter()
+                    .take(16),
+            ),
+    );
+    assert!(corpus.len() >= 64, "corpus of {} functions", corpus.len());
+    let (mut checker_covered, mut infeasible) = (0, 0);
+    for function in &corpus {
+        let lowered = build_cfg(function);
+        for bound in [1u128, 8] {
+            let plan = PartitionPlan::compute(&lowered, bound);
+            let memoised = HybridGenerator::new().generate(function, &lowered, &plan);
+            let legacy = HybridGenerator::new()
+                .unbatched()
+                .sequential()
+                .generate(function, &lowered, &plan);
+            assert_eq!(
+                memoised, legacy,
+                "suites diverge on {} at bound {bound}",
+                function.name
+            );
+            checker_covered += memoised.checker_covered();
+            infeasible += memoised.infeasible_count();
+        }
+    }
+    assert!(
+        checker_covered > 0 && infeasible > 0,
+        "the corpus must leave residual goals to the checker"
+    );
+}
