@@ -235,10 +235,11 @@ fn run_chaos(args: &[String]) {
         .map(|(kind, fired)| format!("{kind} x{fired}"))
         .collect();
     println!(
-        "wire faults fired on the final server: {} ({} total); restart computes: {} (fully warm)",
+        "wire faults fired on the final server: {} ({} total); restart checker/measure computes: {}, checker states explored: {} (warm)",
         wire.join(", "),
         report.wire_faults_fired(),
-        report.restart_computes
+        report.restart_computes,
+        report.restart_states_explored
     );
     let c = &report.client;
     println!(
@@ -930,12 +931,13 @@ fn run_bench() {
     );
     let soak = &report.chaos_soak;
     println!(
-        "chaos_soak: {} requests   {} kill(s)   max recovery {:.1} ms   {} wire faults fired   restart computes {}   {} answers verified identical",
+        "chaos_soak: {} requests   {} kill(s)   max recovery {:.1} ms   {} wire faults fired   restart computes {}   restart states {}   {} answers verified identical",
         soak.requests,
         soak.kills,
         soak.max_recovery.as_secs_f64() * 1e3,
         soak.wire_faults_fired,
         soak.restart_computes,
+        soak.restart_states_explored,
         soak.verified_identical
     );
     let cro = &report.client_retry_overhead;

@@ -23,9 +23,12 @@
 //!   failure;
 //! * **bounded recovery** — each kill's restart (spawn, announce, repoint,
 //!   first answered probe) completes within the configured budget;
-//! * **fully-warm restart** — the restarted server's final `stats`
-//!   snapshot reports `computes == 0`: everything was served from the
-//!   segment log the reference phase sealed;
+//! * **warm restart** — the restarted server does no model-checker or
+//!   measurement work: its final `stats` snapshot reports zero
+//!   prepare-model, testgen, measure and bound computes and zero checker
+//!   states explored — every such artifact was served from the segment
+//!   log the reference phase sealed.  (Lowering and partitioning are
+//!   memory-only, so a restarted `sweep` legitimately re-lowers.)
 //! * **every wire fault kind fired** — the restarted server's
 //!   `resilience.wire_faults` counters are all non-zero (the harness
 //!   burns extra deliveries after the mix until the armed shots fire).
@@ -37,6 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tmg_client::{Client, ClientConfig, ClientError, ClientStats};
+use tmg_core::Stage;
 use tmg_service::json::{self, Value};
 use tmg_service::FaultKind;
 
@@ -45,6 +49,16 @@ use crate::loadtest::HOT_SOURCE;
 /// The wire fault plan the soak phase arms on every server process it
 /// spawns: a couple of shots of each deterministic network fault kind.
 pub const WIRE_PLAN: &str = "conn_drop:2,stall_ms:2,torn_frame:2,dup_delivery:2";
+
+/// The stages whose computation is model-checker or measurement work.  All
+/// four are persisted in the segment log, so a warm restart computes none
+/// of them.
+const CHECKER_AND_MEASURE_STAGES: [Stage; 4] = [
+    Stage::PrepareModel,
+    Stage::Testgen,
+    Stage::Measure,
+    Stage::Bound,
+];
 
 /// Shape of one chaos soak.
 #[derive(Debug, Clone)]
@@ -98,8 +112,11 @@ pub struct ChaosReport {
     pub recovery: Vec<Duration>,
     /// Final-server wire fault counters, one `(kind, fired)` per kind.
     pub wire_faults: Vec<(&'static str, u64)>,
-    /// The restarted server's `computes` counter (must be 0: fully warm).
+    /// The restarted server's prepare-model, testgen, measure and bound
+    /// computes (must be 0: no model-checker or measurement work).
     pub restart_computes: u64,
+    /// Checker states the restarted server explored (must be 0).
+    pub restart_states_explored: u64,
     /// Aggregated client-side resilience counters across the mix clients.
     pub client: ClientStats,
     /// Wall clock of the whole soak (both phases).
@@ -178,8 +195,9 @@ fn mix_client_config() -> ClientConfig {
 /// # Panics
 ///
 /// Panics on any broken resilience promise: a wrong or missing answer, an
-/// unexpectedly typed outcome, an over-budget recovery, a cold restart, or
-/// a wire fault kind that never fired.
+/// unexpectedly typed outcome, an over-budget recovery, model-checker or
+/// measurement work after the restart, or a wire fault kind that never
+/// fired.
 pub fn chaos(config: &ChaosConfig) -> ChaosReport {
     let started = Instant::now();
     let exe = std::env::current_exe().expect("current exe");
@@ -264,6 +282,7 @@ pub fn chaos(config: &ChaosConfig) -> ChaosReport {
     let final_addr = clients[0].addr();
     let mut wire_faults = Vec::new();
     let mut restart_computes = u64::MAX;
+    let mut restart_states_explored = u64::MAX;
     for round in 0..40 {
         let probe = Client::new(final_addr, mix_client_config());
         let stats = probe
@@ -271,10 +290,22 @@ pub fn chaos(config: &ChaosConfig) -> ChaosReport {
             .expect("final stats snapshot")
             .value();
         let stats = stats.get("stats").expect("stats payload").clone();
-        restart_computes = stats
-            .get("computes")
+        restart_computes = CHECKER_AND_MEASURE_STAGES
+            .iter()
+            .map(|stage| {
+                stats
+                    .get("disk")
+                    .and_then(|d| d.get(stage.name()))
+                    .and_then(|s| s.get("computes"))
+                    .and_then(Value::as_u64)
+                    .expect("per-stage computes counter")
+            })
+            .sum();
+        restart_states_explored = stats
+            .get("checker")
+            .and_then(|c| c.get("states_explored"))
             .and_then(Value::as_u64)
-            .expect("computes counter");
+            .expect("checker states_explored counter");
         wire_faults = FaultKind::WIRE
             .iter()
             .map(|kind| {
@@ -299,7 +330,11 @@ pub fn chaos(config: &ChaosConfig) -> ChaosReport {
     }
     assert_eq!(
         restart_computes, 0,
-        "the restarted server must come back fully warm from the segment log"
+        "the restarted server must serve every checker and measurement artifact from the segment log"
+    );
+    assert_eq!(
+        restart_states_explored, 0,
+        "the restarted server must explore no checker state"
     );
 
     shutdown(final_addr);
@@ -327,6 +362,7 @@ pub fn chaos(config: &ChaosConfig) -> ChaosReport {
         recovery,
         wire_faults,
         restart_computes,
+        restart_states_explored,
         client,
         wall: started.elapsed(),
     }

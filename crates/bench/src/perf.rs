@@ -193,8 +193,9 @@ pub struct SegmentTierReport {
 }
 
 /// What the quick chaos soak recorded (every resilience assertion — zero
-/// wrong answers, bounded recovery, fully-warm restart, every wire fault
-/// kind fired — already passed inside [`crate::chaos`]).
+/// wrong answers, bounded recovery, no checker or measurement work after
+/// the restart, every wire fault kind fired — already passed inside
+/// [`crate::chaos`]).
 #[derive(Debug, Clone)]
 pub struct ChaosSoak {
     /// Slots driven across both phases.
@@ -205,8 +206,11 @@ pub struct ChaosSoak {
     pub max_recovery: Duration,
     /// Wire fault shots that fired on the final server.
     pub wire_faults_fired: u64,
-    /// The restarted server's `computes` counter (0 = fully warm).
+    /// The restarted server's prepare-model, testgen, measure and bound
+    /// computes (0 = no model-checker or measurement work).
     pub restart_computes: u64,
+    /// Checker states the restarted server explored (0 when warm).
+    pub restart_states_explored: u64,
     /// Soak answers verified bit-identical to the fault-free reference.
     pub verified_identical: u64,
     /// Wall clock of the whole soak.
@@ -256,6 +260,7 @@ impl PerfReport {
             && self.service_recovery.healthy
             && self.segment_tier.identical
             && self.chaos_soak.restart_computes == 0
+            && self.chaos_soak.restart_states_explored == 0
             && self.client_retry_overhead.identical
     }
 
@@ -333,12 +338,13 @@ impl PerfReport {
         let soak = &self.chaos_soak;
         let _ = writeln!(
             out,
-            "  \"chaos_soak\": {{ \"requests\": {}, \"kills\": {}, \"max_recovery_ms\": {:.3}, \"wire_faults_fired\": {}, \"restart_computes\": {}, \"verified_identical\": {}, \"wall_ms\": {:.3} }},",
+            "  \"chaos_soak\": {{ \"requests\": {}, \"kills\": {}, \"max_recovery_ms\": {:.3}, \"wire_faults_fired\": {}, \"restart_computes\": {}, \"restart_states_explored\": {}, \"verified_identical\": {}, \"wall_ms\": {:.3} }},",
             soak.requests,
             soak.kills,
             ms(soak.max_recovery),
             soak.wire_faults_fired,
             soak.restart_computes,
+            soak.restart_states_explored,
             soak.verified_identical,
             ms(soak.wall)
         );
@@ -1181,6 +1187,7 @@ fn measure_chaos_soak() -> ChaosSoak {
         max_recovery: report.max_recovery(),
         wire_faults_fired: report.wire_faults_fired(),
         restart_computes: report.restart_computes,
+        restart_states_explored: report.restart_states_explored,
         verified_identical: report.verified_identical,
         wall: report.wall,
     }
@@ -1497,7 +1504,7 @@ mod tests {
     #[test]
     fn recovery_scan_measurement_is_healthy_on_a_clean_cache() {
         let rec = measure_service_recovery();
-        assert_eq!(rec.frames, 6, "one frame per stage");
+        assert_eq!(rec.frames, 4, "one frame per persisted stage");
         assert_eq!(rec.quarantined, 0);
         assert!(rec.healthy, "post-scan warm path must be bit-identical");
     }
@@ -1576,6 +1583,7 @@ mod tests {
                 max_recovery: Duration::from_millis(72),
                 wire_faults_fired: 8,
                 restart_computes: 0,
+                restart_states_explored: 0,
                 verified_identical: 51,
                 wall: Duration::from_millis(260),
             },

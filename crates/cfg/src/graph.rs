@@ -22,10 +22,8 @@ pub struct Cfg {
 }
 
 impl Cfg {
-    /// Assembles a CFG from parts; used by the builder and by the persistent
-    /// artifact store when materialising a lowering artifact from disk.
-    /// Predecessor lists are computed here, so a deserialized CFG is
-    /// structurally identical to the originally built one.
+    /// Assembles a CFG from parts; used by the builder.  Predecessor lists
+    /// are computed here from the blocks' terminators.
     pub fn from_parts(
         function: String,
         blocks: Vec<BasicBlock>,

@@ -105,9 +105,8 @@ pub struct RegionTree {
 }
 
 impl RegionTree {
-    /// Assembles a tree from its regions; used by the builder and by the
-    /// persistent artifact store when materialising a lowering artifact from
-    /// disk ([`RegionTree::validate`] checks the structure either way).
+    /// Assembles a tree from its regions; used by the builder
+    /// ([`RegionTree::validate`] checks the structure).
     pub fn from_parts(regions: Vec<Region>, root: RegionId) -> RegionTree {
         RegionTree { regions, root }
     }

@@ -76,25 +76,14 @@ impl PartitionPlan {
         let mut segments = Vec::new();
         let root = lowered.regions.root_id();
         visit_region(lowered, root, path_bound, &mut segments);
-        let mut block_segment = vec![None; lowered.cfg.block_count()];
-        for segment in &segments {
-            for block in &segment.blocks {
-                block_segment[block.index()] = Some(segment.id);
-            }
-        }
-        PartitionPlan {
-            path_bound,
-            segments,
-            block_segment,
-        }
+        PartitionPlan::from_parts(path_bound, segments, lowered.cfg.block_count())
     }
 
-    /// Reassembles a plan from its segments — the deserialization hook of the
-    /// persistent artifact store.  `block_count` is the block-table size of
-    /// the CFG the plan was computed for ([`PartitionPlan::indexed_blocks`]
-    /// of the original); the `BlockId → SegmentId` index is rebuilt exactly
-    /// as [`PartitionPlan::compute`] builds it, so a round-tripped plan
-    /// compares equal to the original.
+    /// Assembles a plan from its segments.  `block_count` is the block-table
+    /// size of the CFG the plan was computed for
+    /// ([`PartitionPlan::indexed_blocks`] of the original); the
+    /// `BlockId → SegmentId` index is rebuilt from the segments, so a plan
+    /// reassembled from a computed plan's parts compares equal to it.
     pub fn from_parts(
         path_bound: u128,
         segments: Vec<Segment>,
@@ -114,7 +103,7 @@ impl PartitionPlan {
     }
 
     /// Size of the `BlockId → SegmentId` index (the block count of the CFG
-    /// the plan was computed for); the serialization counterpart of
+    /// the plan was computed for); the counterpart of
     /// [`PartitionPlan::from_parts`].
     pub fn indexed_blocks(&self) -> usize {
         self.block_segment.len()

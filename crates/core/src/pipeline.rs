@@ -895,9 +895,8 @@ fn input_space_hash(input_space: Option<&[InputVector]>) -> u64 {
 
 /// The union of every branching statement of the lowered function: the
 /// preserve set under which the shared checker model is prepared (any path
-/// query's statement set is a subset).  Public so lower storage tiers can
-/// re-derive the set when materialising a lowering artifact.
-pub fn decision_statements(lowered: &LoweredFunction) -> HashSet<StmtId> {
+/// query's statement set is a subset).
+fn decision_statements(lowered: &LoweredFunction) -> HashSet<StmtId> {
     let mut stmts = HashSet::new();
     for block in lowered.cfg.blocks() {
         match &block.terminator {

@@ -1,10 +1,13 @@
-//! Hand-rolled versioned binary codec for the pipeline artifacts.
+//! Hand-rolled versioned binary codec for the persisted pipeline artifacts.
 //!
-//! Every artifact of `tmg_core::pipeline` — [`LoweredArtifact`] through
-//! [`BoundArtifact`] — round-trips through a self-describing binary frame so
-//! the on-disk cache of [`crate::store`] can serve a *different process's*
-//! artifacts.  The build environment has no crates.io access, so the format
-//! is written by hand against the vendored-shim reality: fixed-width
+//! Every artifact [`crate::store`] writes to disk — [`PreparedModelArtifact`],
+//! [`SuiteArtifact`], [`CampaignArtifact`] and [`BoundArtifact`] —
+//! round-trips through a self-describing binary frame so the on-disk cache
+//! can serve a *different process's* artifacts.  Lowering and partition
+//! artifacts are never persisted (recomputing them is cheaper than decoding
+//! them), so they have no codec; their stage tags stay reserved in the
+//! frame header.  The build environment has no crates.io access, so the
+//! format is written by hand against the vendored-shim reality: fixed-width
 //! little-endian integers, length-prefixed strings, explicit enum tags.
 //!
 //! # Frame layout
@@ -32,31 +35,23 @@
 //! Collections are length-prefixed.  `HashMap`/`HashSet` payloads are sorted
 //! by key before writing so encoding is a pure function of the artifact
 //! value — the proptest suite asserts `encode(decode(encode(x))) ==
-//! encode(x)` byte for byte.  Two artifact kinds store *derived* fields by
-//! recomputation instead of bytes: a lowering artifact stores only the CFG
-//! and region tree (path counts and the branch-statement union are cheap
-//! pure functions of those), and a prepared-model artifact stores the
-//! optimised encoded [`Model`] (the arena preparation is re-derived by
-//! [`SharedCheckModel::from_parts`]).  Both re-derivations are deterministic,
-//! so the decoded artifact is indistinguishable from the original.
+//! encode(x)` byte for byte.  A prepared-model artifact stores the
+//! optimised encoded [`Model`] only; the arena preparation is re-derived by
+//! [`SharedCheckModel::from_parts`], deterministically, so the decoded
+//! artifact is indistinguishable from the original.
 
-use rustc_hash::FxHashMap;
 use std::collections::HashSet;
 use std::hash::Hasher as _;
 use std::sync::Arc;
-use tmg_cfg::{
-    BasicBlock, BlockId, BlockKind, Cfg, LoweredFunction, PathCounts, PathSpec, Region, RegionId,
-    RegionKind, RegionTree, StableHasher, Terminator,
-};
+use tmg_cfg::{BlockId, PathSpec, StableHasher};
 use tmg_core::pipeline::{
-    decision_statements, BoundArtifact, CampaignArtifact, LoweredArtifact, PartitionArtifact,
-    PreparedModelArtifact, Stage, SuiteArtifact, STAGES,
+    BoundArtifact, CampaignArtifact, PreparedModelArtifact, Stage, SuiteArtifact, STAGES,
 };
 use tmg_core::{
     AnalysisReport, CoverageGoal, CoverageStatus, GeneratorKind, GoalKind, MeasurementCampaign,
-    PartitionPlan, Segment, SegmentId, SegmentKind, SegmentTiming, TestSuite,
+    SegmentId, SegmentTiming, TestSuite,
 };
-use tmg_minic::ast::{BinOp, Expr, Stmt, UnOp};
+use tmg_minic::ast::{BinOp, Expr, UnOp};
 use tmg_minic::interp::BranchChoice;
 use tmg_minic::types::Ty;
 use tmg_minic::value::InputVector;
@@ -354,8 +349,7 @@ pub fn verify_frame(bytes: &[u8], stage: Stage, key: u64) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// mini-C fragments (expressions, statements) — embedded in CFG terminators,
-// block bodies and the prepared model's guards/effects.
+// mini-C expressions — embedded in the prepared model's guards and effects.
 // ---------------------------------------------------------------------------
 
 fn enc_un_op(e: &mut Enc, op: UnOp) {
@@ -464,90 +458,6 @@ fn dec_expr(d: &mut Dec<'_>) -> Result<Expr> {
     })
 }
 
-fn enc_stmt(e: &mut Enc, stmt: &Stmt) {
-    match stmt {
-        Stmt::Assign {
-            id,
-            line,
-            target,
-            value,
-        } => {
-            e.u8(0);
-            e.u32(id.0);
-            e.u32(*line);
-            e.str(target);
-            enc_expr(e, value);
-        }
-        Stmt::Call {
-            id,
-            line,
-            callee,
-            args,
-        } => {
-            e.u8(1);
-            e.u32(id.0);
-            e.u32(*line);
-            e.str(callee);
-            e.usize(args.len());
-            for a in args {
-                enc_expr(e, a);
-            }
-        }
-        Stmt::Return { id, line, value } => {
-            e.u8(2);
-            e.u32(id.0);
-            e.u32(*line);
-            e.opt(value, enc_expr);
-        }
-        // Branching statements never appear in a basic block's body (their
-        // conditions live in terminators), but the codec handles the full
-        // statement type so it has no partial-domain surprises.
-        Stmt::If { .. } | Stmt::Switch { .. } | Stmt::While { .. } => {
-            unreachable!("branching statements are encoded through terminators")
-        }
-    }
-}
-
-fn dec_stmt(d: &mut Dec<'_>) -> Result<Stmt> {
-    Ok(match d.u8()? {
-        0 => {
-            let id = StmtId(d.u32()?);
-            let line = d.u32()?;
-            let target = d.str()?;
-            let value = dec_expr(d)?;
-            Stmt::Assign {
-                id,
-                line,
-                target,
-                value,
-            }
-        }
-        1 => {
-            let id = StmtId(d.u32()?);
-            let line = d.u32()?;
-            let callee = d.str()?;
-            let n = d.seq_len()?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(dec_expr(d)?);
-            }
-            Stmt::Call {
-                id,
-                line,
-                callee,
-                args,
-            }
-        }
-        2 => {
-            let id = StmtId(d.u32()?);
-            let line = d.u32()?;
-            let value = d.opt(dec_expr)?;
-            Stmt::Return { id, line, value }
-        }
-        _ => return Err(CodecError::Malformed("statement tag")),
-    })
-}
-
 fn enc_branch_choice(e: &mut Enc, choice: BranchChoice) {
     match choice {
         BranchChoice::Then => e.u8(0),
@@ -571,425 +481,6 @@ fn dec_branch_choice(d: &mut Dec<'_>) -> Result<BranchChoice> {
         4 => BranchChoice::LoopIterate,
         5 => BranchChoice::LoopExit,
         _ => return Err(CodecError::Malformed("branch choice tag")),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// CFG + region tree (the Lower payload)
-// ---------------------------------------------------------------------------
-
-fn enc_terminator(e: &mut Enc, t: &Terminator) {
-    match t {
-        Terminator::Jump(dest) => {
-            e.u8(0);
-            e.u32(dest.0);
-        }
-        Terminator::Branch {
-            stmt,
-            cond,
-            then_dest,
-            else_dest,
-        } => {
-            e.u8(1);
-            e.u32(stmt.0);
-            enc_expr(e, cond);
-            e.u32(then_dest.0);
-            e.u32(else_dest.0);
-        }
-        Terminator::Switch {
-            stmt,
-            selector,
-            arms,
-            default_dest,
-        } => {
-            e.u8(2);
-            e.u32(stmt.0);
-            enc_expr(e, selector);
-            e.usize(arms.len());
-            for (value, dest) in arms {
-                e.i64(*value);
-                e.u32(dest.0);
-            }
-            e.u32(default_dest.0);
-        }
-        Terminator::Return { exit } => {
-            e.u8(3);
-            e.u32(exit.0);
-        }
-        Terminator::Halt => e.u8(4),
-    }
-}
-
-fn dec_terminator(d: &mut Dec<'_>) -> Result<Terminator> {
-    Ok(match d.u8()? {
-        0 => Terminator::Jump(BlockId(d.u32()?)),
-        1 => {
-            let stmt = StmtId(d.u32()?);
-            let cond = dec_expr(d)?;
-            let then_dest = BlockId(d.u32()?);
-            let else_dest = BlockId(d.u32()?);
-            Terminator::Branch {
-                stmt,
-                cond,
-                then_dest,
-                else_dest,
-            }
-        }
-        2 => {
-            let stmt = StmtId(d.u32()?);
-            let selector = dec_expr(d)?;
-            let n = d.seq_len()?;
-            let mut arms = Vec::with_capacity(n);
-            for _ in 0..n {
-                let value = d.i64()?;
-                let dest = BlockId(d.u32()?);
-                arms.push((value, dest));
-            }
-            let default_dest = BlockId(d.u32()?);
-            Terminator::Switch {
-                stmt,
-                selector,
-                arms,
-                default_dest,
-            }
-        }
-        3 => Terminator::Return {
-            exit: BlockId(d.u32()?),
-        },
-        4 => Terminator::Halt,
-        _ => return Err(CodecError::Malformed("terminator tag")),
-    })
-}
-
-fn enc_block_kind(e: &mut Enc, kind: BlockKind) {
-    e.u8(match kind {
-        BlockKind::Entry => 0,
-        BlockKind::Exit => 1,
-        BlockKind::Code => 2,
-        BlockKind::Join => 3,
-        BlockKind::LoopHeader => 4,
-        BlockKind::CaseArm => 5,
-    });
-}
-
-fn dec_block_kind(d: &mut Dec<'_>) -> Result<BlockKind> {
-    Ok(match d.u8()? {
-        0 => BlockKind::Entry,
-        1 => BlockKind::Exit,
-        2 => BlockKind::Code,
-        3 => BlockKind::Join,
-        4 => BlockKind::LoopHeader,
-        5 => BlockKind::CaseArm,
-        _ => return Err(CodecError::Malformed("block kind tag")),
-    })
-}
-
-fn enc_basic_block(e: &mut Enc, b: &BasicBlock) {
-    e.u32(b.id.0);
-    enc_block_kind(e, b.kind);
-    e.usize(b.stmts.len());
-    for s in &b.stmts {
-        enc_stmt(e, s);
-    }
-    enc_terminator(e, &b.terminator);
-    e.u32(b.line);
-}
-
-fn dec_basic_block(d: &mut Dec<'_>) -> Result<BasicBlock> {
-    let id = BlockId(d.u32()?);
-    let kind = dec_block_kind(d)?;
-    let n = d.seq_len()?;
-    let mut stmts = Vec::with_capacity(n);
-    for _ in 0..n {
-        stmts.push(dec_stmt(d)?);
-    }
-    let terminator = dec_terminator(d)?;
-    let line = d.u32()?;
-    Ok(BasicBlock {
-        id,
-        kind,
-        stmts,
-        terminator,
-        line,
-    })
-}
-
-fn enc_cfg(e: &mut Enc, cfg: &Cfg) {
-    e.str(&cfg.function);
-    e.usize(cfg.blocks().len());
-    for b in cfg.blocks() {
-        enc_basic_block(e, b);
-    }
-    e.u32(cfg.entry().0);
-    e.u32(cfg.exit().0);
-    // Deterministic bytes: the loop-bound map is sorted by statement id.
-    let mut bounds: Vec<(StmtId, u32)> = cfg.loop_bounds().iter().map(|(s, b)| (*s, *b)).collect();
-    bounds.sort_unstable();
-    e.usize(bounds.len());
-    for (stmt, bound) in bounds {
-        e.u32(stmt.0);
-        e.u32(bound);
-    }
-}
-
-fn dec_cfg(d: &mut Dec<'_>) -> Result<Cfg> {
-    let function = d.str()?;
-    let n = d.seq_len()?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(dec_basic_block(d)?);
-    }
-    let entry = BlockId(d.u32()?);
-    let exit = BlockId(d.u32()?);
-    let bounds_n = d.seq_len()?;
-    let mut loop_bounds = FxHashMap::default();
-    for _ in 0..bounds_n {
-        let stmt = StmtId(d.u32()?);
-        let bound = d.u32()?;
-        loop_bounds.insert(stmt, bound);
-    }
-    if entry.index() >= blocks.len() || exit.index() >= blocks.len() {
-        return Err(CodecError::Malformed("entry/exit out of range"));
-    }
-    for (i, b) in blocks.iter().enumerate() {
-        if b.id.index() != i {
-            return Err(CodecError::Malformed("block table not dense"));
-        }
-        for succ in b.terminator.successors() {
-            if succ.index() >= blocks.len() {
-                return Err(CodecError::Malformed("successor out of range"));
-            }
-        }
-    }
-    Ok(Cfg::from_parts(function, blocks, entry, exit, loop_bounds))
-}
-
-fn enc_region_kind(e: &mut Enc, kind: RegionKind) {
-    match kind {
-        RegionKind::FunctionBody => e.u8(0),
-        RegionKind::Then(s) => {
-            e.u8(1);
-            e.u32(s.0);
-        }
-        RegionKind::Else(s) => {
-            e.u8(2);
-            e.u32(s.0);
-        }
-        RegionKind::Case(s, v) => {
-            e.u8(3);
-            e.u32(s.0);
-            e.i64(v);
-        }
-        RegionKind::Default(s) => {
-            e.u8(4);
-            e.u32(s.0);
-        }
-        RegionKind::LoopBody(s) => {
-            e.u8(5);
-            e.u32(s.0);
-        }
-    }
-}
-
-fn dec_region_kind(d: &mut Dec<'_>) -> Result<RegionKind> {
-    Ok(match d.u8()? {
-        0 => RegionKind::FunctionBody,
-        1 => RegionKind::Then(StmtId(d.u32()?)),
-        2 => RegionKind::Else(StmtId(d.u32()?)),
-        3 => {
-            let stmt = StmtId(d.u32()?);
-            let value = d.i64()?;
-            RegionKind::Case(stmt, value)
-        }
-        4 => RegionKind::Default(StmtId(d.u32()?)),
-        5 => RegionKind::LoopBody(StmtId(d.u32()?)),
-        _ => return Err(CodecError::Malformed("region kind tag")),
-    })
-}
-
-fn enc_region(e: &mut Enc, r: &Region) {
-    e.u32(r.id.0);
-    enc_region_kind(e, r.kind);
-    e.opt(&r.parent, |e, p| e.u32(p.0));
-    e.usize(r.children.len());
-    for c in &r.children {
-        e.u32(c.0);
-    }
-    e.usize(r.blocks.len());
-    for b in &r.blocks {
-        e.u32(b.0);
-    }
-    e.u32(r.entry_block.0);
-    e.u128(r.path_count);
-}
-
-fn dec_region(d: &mut Dec<'_>) -> Result<Region> {
-    let id = RegionId(d.u32()?);
-    let kind = dec_region_kind(d)?;
-    let parent = d.opt(|d| Ok(RegionId(d.u32()?)))?;
-    let n = d.seq_len()?;
-    let mut children = Vec::with_capacity(n);
-    for _ in 0..n {
-        children.push(RegionId(d.u32()?));
-    }
-    let n = d.seq_len()?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(BlockId(d.u32()?));
-    }
-    let entry_block = BlockId(d.u32()?);
-    let path_count = d.u128()?;
-    Ok(Region {
-        id,
-        kind,
-        parent,
-        children,
-        blocks,
-        entry_block,
-        path_count,
-    })
-}
-
-fn enc_region_tree(e: &mut Enc, tree: &RegionTree) {
-    e.usize(tree.regions().len());
-    for r in tree.regions() {
-        enc_region(e, r);
-    }
-    e.u32(tree.root_id().0);
-}
-
-fn dec_region_tree(d: &mut Dec<'_>) -> Result<RegionTree> {
-    let n = d.seq_len()?;
-    let mut regions = Vec::with_capacity(n);
-    for _ in 0..n {
-        regions.push(dec_region(d)?);
-    }
-    let root = RegionId(d.u32()?);
-    if root.index() >= regions.len() {
-        return Err(CodecError::Malformed("region root out of range"));
-    }
-    for (i, r) in regions.iter().enumerate() {
-        if r.id.index() != i {
-            return Err(CodecError::Malformed("region table not dense"));
-        }
-        for c in &r.children {
-            if c.index() >= regions.len() {
-                return Err(CodecError::Malformed("region child out of range"));
-            }
-        }
-    }
-    Ok(RegionTree::from_parts(regions, root))
-}
-
-/// Encodes a lowering artifact.  Only the CFG and region tree are stored;
-/// the path counts and the branch-statement union are pure derived data and
-/// are recomputed on decode.
-pub fn encode_lowered(artifact: &LoweredArtifact) -> Vec<u8> {
-    let mut e = Enc::default();
-    enc_cfg(&mut e, &artifact.lowered.cfg);
-    enc_region_tree(&mut e, &artifact.lowered.regions);
-    encode_frame(Stage::Lower, artifact.function_key, &e.buf)
-}
-
-/// Decodes a lowering artifact, validating CFG and region-tree structure.
-pub fn decode_lowered(bytes: &[u8], key: u64) -> Result<LoweredArtifact> {
-    let payload = decode_frame(bytes, Stage::Lower, key)?;
-    let mut d = Dec::new(payload);
-    let cfg = dec_cfg(&mut d)?;
-    let regions = dec_region_tree(&mut d)?;
-    d.finish()?;
-    cfg.validate()
-        .map_err(|_| CodecError::Malformed("inconsistent CFG"))?;
-    regions
-        .validate(&cfg)
-        .map_err(|_| CodecError::Malformed("inconsistent region tree"))?;
-    let lowered = LoweredFunction { cfg, regions };
-    let counts = PathCounts::compute(&lowered);
-    let decision_stmts = decision_statements(&lowered);
-    Ok(LoweredArtifact {
-        function_key: key,
-        lowered,
-        counts,
-        decision_stmts,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Partition plan
-// ---------------------------------------------------------------------------
-
-fn enc_segment(e: &mut Enc, s: &Segment) {
-    e.u32(s.id.0);
-    match s.kind {
-        SegmentKind::Region(r) => {
-            e.u8(0);
-            e.u32(r.0);
-        }
-        SegmentKind::Block(b) => {
-            e.u8(1);
-            e.u32(b.0);
-        }
-    }
-    e.usize(s.blocks.len());
-    for b in &s.blocks {
-        e.u32(b.0);
-    }
-    e.u128(s.paths);
-}
-
-fn dec_segment(d: &mut Dec<'_>) -> Result<Segment> {
-    let id = SegmentId(d.u32()?);
-    let kind = match d.u8()? {
-        0 => SegmentKind::Region(RegionId(d.u32()?)),
-        1 => SegmentKind::Block(BlockId(d.u32()?)),
-        _ => return Err(CodecError::Malformed("segment kind tag")),
-    };
-    let n = d.seq_len()?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(BlockId(d.u32()?));
-    }
-    let paths = d.u128()?;
-    Ok(Segment {
-        id,
-        kind,
-        blocks,
-        paths,
-    })
-}
-
-/// Encodes a partition artifact.
-pub fn encode_partition(artifact: &PartitionArtifact) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u128(artifact.plan.path_bound);
-    e.usize(artifact.plan.indexed_blocks());
-    e.usize(artifact.plan.segments.len());
-    for s in &artifact.plan.segments {
-        enc_segment(&mut e, s);
-    }
-    encode_frame(Stage::Partition, artifact.key, &e.buf)
-}
-
-/// Decodes a partition artifact.
-pub fn decode_partition(bytes: &[u8], key: u64) -> Result<PartitionArtifact> {
-    let payload = decode_frame(bytes, Stage::Partition, key)?;
-    let mut d = Dec::new(payload);
-    let path_bound = d.u128()?;
-    let block_count = d.usize()?;
-    let n = d.seq_len()?;
-    let mut segments = Vec::with_capacity(n);
-    for _ in 0..n {
-        segments.push(dec_segment(&mut d)?);
-    }
-    d.finish()?;
-    for s in &segments {
-        if s.blocks.iter().any(|b| b.index() >= block_count) {
-            return Err(CodecError::Malformed("segment block out of range"));
-        }
-    }
-    Ok(PartitionArtifact {
-        key,
-        plan: PartitionPlan::from_parts(path_bound, segments, block_count),
     })
 }
 
@@ -1548,33 +1039,11 @@ mod tests {
     }
 
     #[test]
-    fn lowered_round_trips() {
-        let (store, f) = artifacts();
-        let lowered = store.lowered(&f);
-        let bytes = encode_lowered(&lowered);
-        let back = decode_lowered(&bytes, lowered.function_key).expect("decode");
-        assert_eq!(back.lowered.cfg, lowered.lowered.cfg);
-        assert_eq!(back.lowered.regions, lowered.lowered.regions);
-        assert_eq!(back.counts, lowered.counts);
-        assert_eq!(back.decision_stmts, lowered.decision_stmts);
-        assert_eq!(
-            encode_lowered(&back),
-            bytes,
-            "re-encode must be bit-identical"
-        );
-    }
-
-    #[test]
-    fn partition_suite_campaign_bound_round_trip() {
+    fn suite_campaign_bound_round_trip() {
         let (store, f) = artifacts();
         let analysis = WcetAnalysis::new(3);
         let staged =
             pipeline::analyse_staged_detailed(&store, &analysis, &f, None).expect("analysis");
-        let p = encode_partition(&staged.partition);
-        let p_back = decode_partition(&p, staged.partition.key).expect("partition");
-        assert_eq!(p_back.plan, staged.partition.plan);
-        assert_eq!(encode_partition(&p_back), p);
-
         let s = encode_suite(&staged.suite);
         let s_back = decode_suite(&s, staged.suite.key).expect("suite");
         assert_eq!(s_back.suite, staged.suite.suite);
@@ -1654,32 +1123,46 @@ mod tests {
         assert_eq!(original.campaign, replayed.campaign);
     }
 
-    #[test]
-    fn header_checks_reject_foreign_and_damaged_frames() {
+    /// A prepared-model frame carrying a shared model: the largest persisted
+    /// frame that embeds an AST, so the verification tests below damage a
+    /// payload with real structure.
+    fn prepared_model_frame() -> (Vec<u8>, u64) {
         let (store, f) = artifacts();
         let lowered = store.lowered(&f);
-        let good = encode_lowered(&lowered);
-        let key = lowered.function_key;
+        let artifact = store.prepared_model(&f, &lowered, &tmg_tsys::ModelChecker::new());
+        assert!(
+            artifact.shared.is_some(),
+            "the fixture must prepare a model"
+        );
+        (encode_prepared_model(&artifact), artifact.key)
+    }
+
+    #[test]
+    fn header_checks_reject_foreign_and_damaged_frames() {
+        let (good, key) = prepared_model_frame();
 
         // Magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert_eq!(decode_lowered(&bad, key).err(), Some(CodecError::BadMagic));
+        assert_eq!(
+            decode_prepared_model(&bad, key).err(),
+            Some(CodecError::BadMagic)
+        );
         // Version.
         let mut bad = good.clone();
         bad[4] = CODEC_VERSION as u8 + 1;
         assert!(matches!(
-            decode_lowered(&bad, key),
+            decode_prepared_model(&bad, key),
             Err(CodecError::VersionMismatch { .. })
         ));
         // Kind.
         assert!(matches!(
-            decode_partition(&good, key),
+            decode_suite(&good, key),
             Err(CodecError::KindMismatch { .. })
         ));
         // Key.
         assert_eq!(
-            decode_lowered(&good, key ^ 1).err(),
+            decode_prepared_model(&good, key ^ 1).err(),
             Some(CodecError::KeyMismatch)
         );
         // Payload corruption: flip one byte in the middle.
@@ -1687,27 +1170,25 @@ mod tests {
         let mid = HEADER_LEN + (bad.len() - HEADER_LEN - DIGEST_LEN) / 2;
         bad[mid] ^= 0xFF;
         assert_eq!(
-            decode_lowered(&bad, key).err(),
+            decode_prepared_model(&bad, key).err(),
             Some(CodecError::ChecksumMismatch)
         );
         // Truncation.
-        assert!(decode_lowered(&good[..good.len() - 3], key).is_err());
-        assert!(decode_lowered(&good[..10], key).is_err());
+        assert!(decode_prepared_model(&good[..good.len() - 3], key).is_err());
+        assert!(decode_prepared_model(&good[..10], key).is_err());
         // The original still decodes.
-        assert!(decode_lowered(&good, key).is_ok());
+        assert!(decode_prepared_model(&good, key).is_ok());
     }
 
     #[test]
     fn parse_frame_discovers_stage_and_key_and_rejects_what_decode_rejects() {
-        let (store, f) = artifacts();
-        let lowered = store.lowered(&f);
-        let good = encode_lowered(&lowered);
+        let (good, key) = prepared_model_frame();
         let view = parse_frame(&good).expect("parse");
-        assert_eq!(view.stage, Stage::Lower);
-        assert_eq!(view.key, lowered.function_key);
+        assert_eq!(view.stage, Stage::PrepareModel);
+        assert_eq!(view.key, key);
         assert_eq!(
             view.payload,
-            decode_frame(&good, Stage::Lower, lowered.function_key).expect("decode")
+            decode_frame(&good, Stage::PrepareModel, key).expect("decode")
         );
 
         // An impossible stage tag is a kind mismatch, not a panic.

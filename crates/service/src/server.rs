@@ -1193,8 +1193,10 @@ impl Server {
         let Some(function) = program.functions.first() else {
             return "\"op\": \"sweep\", \"ok\": false, \"error_kind\": \"fault\", \"error\": \"empty module\"".to_owned();
         };
-        // Lowering goes through the tiers, so a warm sweep of a known
-        // function re-reads the cached CFG and path counts from disk.
+        // Lowering goes through the tiers: a repeated sweep of a known
+        // function reuses the memory tier's CFG and path counts.  Lowering
+        // is never persisted, so a fresh process re-lowers (cheaper than a
+        // disk read would be).
         let lowered = self
             .store
             .lowered_keyed(function, tmg_cfg::function_fingerprint(function));

@@ -12,8 +12,15 @@
 //!    verified/decoded exactly once; a record that fails verification is
 //!    dropped from the index and treated as a miss — never a panic, never a
 //!    wrong artifact;
-//! 3. **compute** — the stage function itself; the result is appended to
-//!    the log and inserted into memory.
+//! 3. **compute** — the stage function itself; the result is inserted into
+//!    memory and, for a persisted stage, appended to the log.
+//!
+//! Only the stages whose disk read beats recomputation are persisted:
+//! prepare-model, testgen, measure and bound.  Lowering and partitioning
+//! are cheap linear passes over the source (decoding a lowering frame
+//! costs more than re-lowering), so they live in the memory tier only and
+//! never probe or append to the log; their per-stage disk counters stay
+//! zero.  This is a fixed policy, not a configuration knob.
 //!
 //! The disk tier is bounded by a byte budget with segment-granular eviction
 //! and live-ratio compaction; durability is group commit (see the segment
@@ -420,16 +427,9 @@ impl TieredStore for PersistentStore {
         if let Some(hit) = self.memory.lookup_lowered(key) {
             return hit;
         }
-        if let Some(artifact) =
-            self.fetch_disk(Stage::Lower, key, |b| codec::decode_lowered(b, key))
-        {
-            return self.memory.insert_lowered(key, artifact);
-        }
         self.record_compute(Stage::Lower);
-        let artifact = pipeline::compute_lowered(function, key);
-        self.log
-            .append(Stage::Lower, key, &codec::encode_lowered(&artifact));
-        self.memory.insert_lowered(key, artifact)
+        self.memory
+            .insert_lowered(key, pipeline::compute_lowered(function, key))
     }
 
     fn partition(&self, lowered: &LoweredArtifact, path_bound: u128) -> Arc<PartitionArtifact> {
@@ -437,16 +437,9 @@ impl TieredStore for PersistentStore {
         if let Some(hit) = self.memory.lookup_partition(key) {
             return hit;
         }
-        if let Some(artifact) =
-            self.fetch_disk(Stage::Partition, key, |b| codec::decode_partition(b, key))
-        {
-            return self.memory.insert_partition(key, artifact);
-        }
         self.record_compute(Stage::Partition);
-        let artifact = pipeline::compute_partition(lowered, path_bound, key);
-        self.log
-            .append(Stage::Partition, key, &codec::encode_partition(&artifact));
-        self.memory.insert_partition(key, artifact)
+        self.memory
+            .insert_partition(key, pipeline::compute_partition(lowered, path_bound, key))
     }
 
     fn prepared_model(

@@ -1,8 +1,8 @@
 //! Property-based codec guarantees: for random mini-C functions and random
 //! path bounds,
 //!
-//! * every artifact round-trips — `decode(encode(x))` equals `x` and
-//!   re-encoding is bit-identical (the on-disk representation is a pure
+//! * every persisted artifact round-trips — `decode(encode(x))` equals `x`
+//!   and re-encoding is bit-identical (the on-disk representation is a pure
 //!   function of the artifact value);
 //! * any single-byte corruption of a frame is *detected* — decode returns an
 //!   error (never a panic, never a silently different artifact);
@@ -13,6 +13,7 @@ use tmg_core::pipeline::{self, ArtifactStore, TieredStore};
 use tmg_core::WcetAnalysis;
 use tmg_minic::parse_function;
 use tmg_service::codec;
+use tmg_tsys::ModelChecker;
 
 /// Deterministic draw stream decoding one `u64` seed into small choices
 /// (the vendored proptest only supplies integer-range strategies).
@@ -24,6 +25,15 @@ impl Draws {
         self.0 = (self.0 / n).rotate_left(17) ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         v
     }
+}
+
+/// The encoded prepared-model frame of `f` and its key: the largest
+/// persisted frame that carries an AST (the optimised model's guards and
+/// effects), so the corruption properties damage real structure.
+fn prepared_model_frame(f: &tmg_minic::Function) -> (Vec<u8>, u64) {
+    let store = ArtifactStore::new();
+    let model = store.prepared_model(f, &store.lowered(f), &ModelChecker::new());
+    (codec::encode_prepared_model(&model), model.key)
 }
 
 /// Builds a random mini-C function with nested branches, switches and
@@ -95,50 +105,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn lowered_and_partition_artifacts_round_trip_bit_identically(
-        shape in 0u64..u64::MAX,
-        depth in 1u64..4,
-        bound_pick in 0u64..6,
-    ) {
-        let src = random_function(shape, depth);
-        let f = parse_function(&src).expect("generated function parses");
-        let store = ArtifactStore::new();
-        let lowered = store.lowered(&f);
-        let bytes = codec::encode_lowered(&lowered);
-        let back = codec::decode_lowered(&bytes, lowered.function_key).expect("decode lowered");
-        prop_assert_eq!(&back.lowered.cfg, &lowered.lowered.cfg, "cfg diverges on {}", src);
-        prop_assert_eq!(&back.lowered.regions, &lowered.lowered.regions);
-        prop_assert_eq!(&back.counts, &lowered.counts);
-        prop_assert_eq!(&back.decision_stmts, &lowered.decision_stmts);
-        prop_assert_eq!(codec::encode_lowered(&back), bytes, "re-encode differs on {}", src);
-
-        let bound = [1u128, 2, 3, 5, 50, u128::MAX][bound_pick as usize];
-        let partition = store.partition(&lowered, bound);
-        let bytes = codec::encode_partition(&partition);
-        let back = codec::decode_partition(&bytes, partition.key).expect("decode partition");
-        prop_assert_eq!(&back.plan, &partition.plan, "plan diverges on {}", src);
-        prop_assert_eq!(codec::encode_partition(&back), bytes);
-    }
-
-    #[test]
     fn any_truncation_is_a_clean_error_never_a_panic(
         shape in 0u64..u64::MAX,
         cut_seed in 0u64..u64::MAX,
     ) {
         let src = random_function(shape, 2);
         let f = parse_function(&src).expect("generated function parses");
-        let store = ArtifactStore::new();
-        let lowered = store.lowered(&f);
-        let good = codec::encode_lowered(&lowered);
+        let (good, key) = prepared_model_frame(&f);
         let cut = (cut_seed % good.len() as u64) as usize;
         prop_assert!(
-            codec::decode_lowered(&good[..cut], lowered.function_key).is_err(),
+            codec::decode_prepared_model(&good[..cut], key).is_err(),
             "a frame truncated to {} of {} bytes must be a clean miss on {}",
             cut, good.len(), src
         );
         prop_assert!(
-            codec::verify_frame(&good[..cut], pipeline::Stage::Lower, lowered.function_key)
-                .is_err(),
+            codec::verify_frame(&good[..cut], pipeline::Stage::PrepareModel, key).is_err(),
             "the recovery scan must reject the same truncation"
         );
     }
@@ -151,13 +132,11 @@ proptest! {
     ) {
         let src = random_function(shape, 2);
         let f = parse_function(&src).expect("generated function parses");
-        let store = ArtifactStore::new();
-        let lowered = store.lowered(&f);
-        let good = codec::encode_lowered(&lowered);
+        let (good, key) = prepared_model_frame(&f);
         let mut bad = good.clone();
         let at = (victim % bad.len() as u64) as usize;
         bad[at] ^= flip as u8; // flip != 0, so the frame genuinely changes
-        let decoded = codec::decode_lowered(&bad, lowered.function_key);
+        let decoded = codec::decode_prepared_model(&bad, key);
         prop_assert!(
             decoded.is_err(),
             "corrupting byte {} of {} must not decode on {}",
@@ -232,21 +211,18 @@ fn repair_digest(frame: &mut [u8]) {
 #[test]
 fn truncation_at_every_header_byte_boundary_is_a_clean_error() {
     let f = parse_function("void f(char a __range(0, 3)) { if (a > 1) { x(); } }").expect("parse");
-    let store = ArtifactStore::new();
-    let lowered = store.lowered(&f);
-    let good = codec::encode_lowered(&lowered);
+    let (good, key) = prepared_model_frame(&f);
     // Every prefix is rejected without a panic — most importantly each of
     // the 24 header byte boundaries and each digest byte, where a sloppy
     // decoder would index past the end.
     for cut in 0..good.len() {
         assert!(
-            codec::decode_lowered(&good[..cut], lowered.function_key).is_err(),
+            codec::decode_prepared_model(&good[..cut], key).is_err(),
             "a frame truncated to {cut} of {} bytes must not decode",
             good.len()
         );
         assert!(
-            codec::verify_frame(&good[..cut], pipeline::Stage::Lower, lowered.function_key)
-                .is_err(),
+            codec::verify_frame(&good[..cut], pipeline::Stage::PrepareModel, key).is_err(),
             "the recovery scan must reject the truncation to {cut} bytes"
         );
     }
@@ -254,16 +230,17 @@ fn truncation_at_every_header_byte_boundary_is_a_clean_error() {
 
 #[test]
 fn a_zero_length_payload_is_a_valid_frame_but_a_clean_typed_miss() {
-    let frame = codec::encode_frame(pipeline::Stage::Lower, 42, &[]);
+    let frame = codec::encode_frame(pipeline::Stage::PrepareModel, 42, &[]);
     // The frame layer round-trips an empty payload...
     assert_eq!(
-        codec::decode_frame(&frame, pipeline::Stage::Lower, 42).expect("empty frame verifies"),
+        codec::decode_frame(&frame, pipeline::Stage::PrepareModel, 42)
+            .expect("empty frame verifies"),
         &[] as &[u8]
     );
-    assert!(codec::verify_frame(&frame, pipeline::Stage::Lower, 42).is_ok());
+    assert!(codec::verify_frame(&frame, pipeline::Stage::PrepareModel, 42).is_ok());
     // ...but the typed decoder reports a malformed payload, never a panic.
     assert!(matches!(
-        codec::decode_lowered(&frame, 42),
+        codec::decode_prepared_model(&frame, 42),
         Err(codec::CodecError::Malformed(_))
     ));
 }
@@ -271,29 +248,28 @@ fn a_zero_length_payload_is_a_valid_frame_but_a_clean_typed_miss() {
 #[test]
 fn a_declared_payload_length_beyond_the_frame_is_rejected() {
     let f = parse_function("void f(char a __range(0, 3)) { if (a > 1) { x(); } }").expect("parse");
-    let store = ArtifactStore::new();
-    let lowered = store.lowered(&f);
-    let mut frame = codec::encode_lowered(&lowered);
+    let (good, key) = prepared_model_frame(&f);
+    let mut frame = good.clone();
     // Claim a payload far larger than the file and repair the digest, so
     // only the length check can reject the frame: a decoder trusting the
     // declared length would read past the end of the mapping.
     frame[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
     repair_digest(&mut frame);
     assert!(matches!(
-        codec::decode_lowered(&frame, lowered.function_key),
+        codec::decode_prepared_model(&frame, key),
         Err(codec::CodecError::Malformed(
             "payload length disagrees with frame"
         ))
     ));
-    assert!(codec::verify_frame(&frame, pipeline::Stage::Lower, lowered.function_key).is_err());
+    assert!(codec::verify_frame(&frame, pipeline::Stage::PrepareModel, key).is_err());
 
     // The under-declared twin: the length field claims less than the frame
     // holds.  Same clean rejection.
-    let mut frame = codec::encode_lowered(&lowered);
+    let mut frame = good;
     frame[16..24].copy_from_slice(&0u64.to_le_bytes());
     repair_digest(&mut frame);
     assert!(matches!(
-        codec::decode_lowered(&frame, lowered.function_key),
+        codec::decode_prepared_model(&frame, key),
         Err(codec::CodecError::Malformed(
             "payload length disagrees with frame"
         ))
@@ -303,9 +279,8 @@ fn a_declared_payload_length_beyond_the_frame_is_rejected() {
 #[test]
 fn a_version_bump_invalidates_stored_frames() {
     let f = parse_function("void f(char a __range(0, 3)) { if (a > 1) { x(); } }").expect("parse");
-    let store = ArtifactStore::new();
-    let lowered = store.lowered(&f);
-    let mut frame = codec::encode_lowered(&lowered);
+    let (good, key) = prepared_model_frame(&f);
+    let mut frame = good;
     // Patch the version field to a future codec and repair the digest so
     // *only* the version check can reject it.
     let next = codec::CODEC_VERSION + 1;
@@ -319,7 +294,7 @@ fn a_version_bump_invalidates_stored_frames() {
     };
     frame[body_end..].copy_from_slice(&digest.to_le_bytes());
     assert!(matches!(
-        codec::decode_lowered(&frame, lowered.function_key),
+        codec::decode_prepared_model(&frame, key),
         Err(codec::CodecError::VersionMismatch { found }) if found == next
     ));
 }

@@ -51,6 +51,15 @@ fn controller() -> tmg_minic::Function {
     .expect("parse")
 }
 
+/// The stages whose artifacts are appended to the segment log (lowering
+/// and partitioning are memory-only): one append each per cold analysis.
+const PERSISTED: [Stage; 4] = [
+    Stage::PrepareModel,
+    Stage::Testgen,
+    Stage::Measure,
+    Stage::Bound,
+];
+
 fn open_with(root: &Path, plan: FaultPlan) -> Arc<PersistentStore> {
     Arc::new(
         PersistentStore::with_config(PersistentStoreConfig::new(root).with_fault_plan(plan))
@@ -91,15 +100,16 @@ fn a_torn_append_degrades_to_a_clean_miss_and_heals() {
     let stats = store.stats();
     let stored: u64 = (0..6).map(|i| stats.disk[i].stores).sum();
     assert_eq!(stored, 0, "no torn frame may count as stored");
-    assert_eq!(store.fault_shots_fired(), 6);
+    assert_eq!(store.fault_shots_fired(), PERSISTED.len() as u64);
     drop(store);
 
-    // A fresh process scans the torn tails, quarantines all six, and
-    // recomputes cleanly.
+    // A fresh process scans the torn tails, quarantines one per persisted
+    // stage, and recomputes cleanly.
     let fresh = open(&root);
     let report = fresh.recovery_scan();
     assert_eq!(
-        report.quarantined, 6,
+        report.quarantined,
+        PERSISTED.len() as u64,
         "every torn record must be quarantined: {report:?}"
     );
     let healed = analyse(&fresh);
@@ -124,7 +134,7 @@ fn a_crash_after_a_durable_append_is_recovered_by_the_tail_scan() {
     let store = open_with(&root, plan);
     let first = analyse(&store);
     assert_eq!(first, reference());
-    assert_eq!(store.fault_shots_fired(), 6);
+    assert_eq!(store.fault_shots_fired(), PERSISTED.len() as u64);
     let stats = store.stats();
     let stored: u64 = (0..6).map(|i| stats.disk[i].stores).sum();
     assert_eq!(stored, 0, "a crashed append must not count as stored");
@@ -297,19 +307,31 @@ fn a_crash_mid_compaction_leaves_only_bit_identical_duplicates() {
 #[test]
 fn a_mixed_fault_plan_still_yields_the_reference_bound() {
     let root = temp_root("mixed");
-    let plan = FaultPlan::parse("torn_append:3,crash_after_publish:1").expect("parse");
+    // Four appends per analysis (prepare-model, testgen, measure, bound):
+    // two torn, one durable-but-unindexed, one indexed normally.
+    let plan = FaultPlan::parse("torn_append:2,crash_after_publish:1").expect("parse");
     let store = open_with(&root, plan);
     let first = analyse(&store);
     assert_eq!(first, reference());
-    assert_eq!(store.fault_shots_fired(), 4);
+    assert_eq!(store.fault_shots_fired(), 3);
+    let stats = store.stats();
+    assert_eq!(
+        stats.disk_stage(Stage::Bound).stores,
+        1,
+        "the bound append ran after the shots ran out: indexed normally"
+    );
     drop(store);
 
-    // Three torn tails quarantined, one durable-but-unindexed record
-    // recovered by the scan, two indexed normally; the bound artifact was
-    // appended after the shots ran out, so the fresh process serves it warm.
+    // Two torn tails quarantined, the durable-but-unindexed measure record
+    // recovered by the scan, and the normally indexed bound served warm.
     let fresh = open(&root);
     let report = fresh.recovery_scan();
-    assert_eq!(report.quarantined, 3, "{report:?}");
+    assert_eq!(report.quarantined, 2, "{report:?}");
+    assert_eq!(
+        report.scanned,
+        PERSISTED.len() as u64,
+        "the scan sees all four records: two torn, two valid: {report:?}"
+    );
     assert_eq!(analyse(&fresh), reference());
     assert_eq!(fresh.stats().total_computes(), 0);
     let _ = std::fs::remove_dir_all(&root);
@@ -324,7 +346,8 @@ fn an_unarmed_plan_is_inert_and_counts_nothing() {
     assert_eq!(store.fault_shots_fired(), 0);
     let stats = store.stats();
     for stage in STAGES {
-        assert_eq!(stats.disk_stage(stage).stores, 1);
+        let expected = u64::from(PERSISTED.contains(&stage));
+        assert_eq!(stats.disk_stage(stage).stores, expected, "stage {stage}");
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,7 +1,9 @@
 //! Acceptance tests for the persistent artifact tier: a *fresh process's*
 //! analysis of an unchanged function must be served from disk — bit-identical
-//! bound, zero lower/partition/testgen recomputation — with the disk-hit
-//! counters proving it.  A fresh [`PersistentStore`] over an existing cache
+//! bound, no model-checker or measurement work — with the disk-hit counters
+//! proving it.  Only prepare-model, testgen, measure and bound are persisted;
+//! lowering and partitioning are memory-only and recompute in a fresh
+//! process when a persisted stage downstream of them misses.  A fresh [`PersistentStore`] over an existing cache
 //! directory is the in-test equivalent of a fresh process: it shares no
 //! memory with the store that wrote the frames, only the directory.
 //!
@@ -11,7 +13,7 @@
 //! still-running (or crashed) writer never published.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use tmg_core::pipeline::{Stage, STAGES};
 use tmg_core::WcetAnalysis;
 use tmg_minic::parse_function;
@@ -42,6 +44,28 @@ fn controller() -> tmg_minic::Function {
     .expect("parse")
 }
 
+/// The stages whose artifacts are written to the segment log.
+const PERSISTED: [Stage; 4] = [
+    Stage::PrepareModel,
+    Stage::Testgen,
+    Stage::Measure,
+    Stage::Bound,
+];
+
+/// The memory-only stages: never probed on disk, never appended.
+const MEMORY_ONLY: [Stage; 2] = [Stage::Lower, Stage::Partition];
+
+/// The checker counters are process-wide and the harness runs tests on
+/// parallel threads: every analysing test holds this lock shared, and the
+/// test that asserts a zero states-explored delta holds it exclusively.
+static CHECKER_COUNTERS: RwLock<()> = RwLock::new(());
+
+fn analysing() -> RwLockReadGuard<'static, ()> {
+    CHECKER_COUNTERS
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
 fn open(root: &Path) -> Arc<PersistentStore> {
     Arc::new(PersistentStore::open(root).expect("open cache"))
 }
@@ -64,10 +88,12 @@ fn segment_files(root: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn a_fresh_process_serves_the_bound_from_disk_with_zero_recomputation() {
+    let _analysing = analysing();
     let root = temp_root("cold-warm");
     let f = controller();
 
-    // Cold process: every stage computes once and lands in the log.
+    // Cold process: every stage computes once; the persisted ones land in
+    // the log, the memory-only ones never touch it.
     let cold_store = open(&root);
     let cold = WcetAnalysis::new(2)
         .with_store(cold_store.clone())
@@ -80,10 +106,20 @@ fn a_fresh_process_serves_the_bound_from_disk_with_zero_recomputation() {
             1,
             "cold run must compute stage {stage} exactly once"
         );
+    }
+    for stage in PERSISTED {
         assert_eq!(
             stats.disk_stage(stage).stores,
             1,
             "cold run must persist stage {stage}"
+        );
+    }
+    for stage in MEMORY_ONLY {
+        let disk = stats.disk_stage(stage);
+        assert_eq!(
+            (disk.hits, disk.misses, disk.stores),
+            (0, 0, 0),
+            "memory-only stage {stage} must never touch the log"
         );
     }
 
@@ -152,7 +188,8 @@ fn a_fresh_process_serves_the_bound_from_disk_with_zero_recomputation() {
 }
 
 #[test]
-fn a_new_bound_in_a_fresh_process_reuses_lowering_and_model_from_disk() {
+fn a_new_bound_in_a_fresh_process_reuses_the_model_from_disk_and_relowers_in_memory() {
+    let _analysing = analysing();
     let root = temp_root("partial-warm");
     let f = controller();
     let cold_store = open(&root);
@@ -162,21 +199,27 @@ fn a_new_bound_in_a_fresh_process_reuses_lowering_and_model_from_disk() {
         .expect("cold analysis");
     drop(cold_store);
 
-    // A different path bound in a fresh process: lowering and the prepared
-    // model come from disk, only the bound-dependent stages recompute.
+    // A different path bound in a fresh process: the prepared model comes
+    // from disk, lowering recomputes in memory without probing the log, and
+    // only the bound-dependent stages recompute.
     let warm_store = open(&root);
     WcetAnalysis::new(100)
         .with_store(warm_store.clone())
         .analyse(&f)
         .expect("warm analysis at a new bound");
     let stats = warm_store.stats();
-    assert_eq!(stats.disk_stage(Stage::Lower).hits, 1);
-    assert_eq!(stats.disk_stage(Stage::Lower).computes, 0);
+    let lower = stats.disk_stage(Stage::Lower);
+    assert_eq!(lower.computes, 1, "lowering is memory-only: it recomputes");
+    assert_eq!(
+        (lower.hits, lower.misses),
+        (0, 0),
+        "no disk probe for lower"
+    );
     assert_eq!(stats.disk_stage(Stage::PrepareModel).hits, 1);
     assert_eq!(stats.disk_stage(Stage::PrepareModel).computes, 0);
     assert_eq!(
-        stats.segment.decoded_hits, 2,
-        "AST-bearing stages decode owned artifacts"
+        stats.segment.decoded_hits, 1,
+        "only the prepared model decodes an owned artifact"
     );
     for stage in [
         Stage::Partition,
@@ -194,7 +237,85 @@ fn a_new_bound_in_a_fresh_process_reuses_lowering_and_model_from_disk() {
 }
 
 #[test]
+fn a_fresh_process_redoes_only_lowering_partitioning_and_the_bound() {
+    let _exclusive = CHECKER_COUNTERS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    let root = temp_root("memory-only");
+    // Path bound 100 makes the whole function one segment, whose
+    // infeasible paths are proven by a shared checker exploration.
+    let f = controller();
+    let space = |enabled: &'static [i64]| -> Vec<tmg_minic::value::InputVector> {
+        (0..=6)
+            .flat_map(|d| {
+                enabled.iter().map(move |&e| {
+                    tmg_minic::value::InputVector::new()
+                        .with("demand", d)
+                        .with("enabled", e)
+                })
+            })
+            .collect()
+    };
+    let cold_before = tmg_tsys::metrics::snapshot().STATES_EXPLORED;
+    let cold_store = open(&root);
+    WcetAnalysis::new(100)
+        .with_store(cold_store.clone())
+        .analyse_with_exhaustive(&f, &space(&[0, 1]))
+        .expect("cold analysis");
+    drop(cold_store);
+    assert!(
+        tmg_tsys::metrics::snapshot().STATES_EXPLORED > cold_before,
+        "the cold run must explore checker states (its infeasible goals)"
+    );
+
+    // A different exhaustive input space misses the bound key while the
+    // suite and campaign keys (which do not depend on it) hit on disk.
+    let other = space(&[1]);
+    let states_before = tmg_tsys::metrics::snapshot().STATES_EXPLORED;
+    let warm_store = open(&root);
+    let warm = WcetAnalysis::new(100)
+        .with_store(warm_store.clone())
+        .analyse_with_exhaustive(&f, &other)
+        .expect("warm analysis");
+    let states_after = tmg_tsys::metrics::snapshot().STATES_EXPLORED;
+    let stats = warm_store.stats();
+    for stage in [Stage::Testgen, Stage::Measure] {
+        let disk = stats.disk_stage(stage);
+        assert_eq!(
+            (disk.hits, disk.computes),
+            (1, 0),
+            "stage {stage} must be served from disk"
+        );
+    }
+    for stage in STAGES {
+        let expected = u64::from(matches!(
+            stage,
+            Stage::Lower | Stage::Partition | Stage::Bound
+        ));
+        assert_eq!(
+            stats.disk_stage(stage).computes,
+            expected,
+            "stage {stage}: only lower, partition and bound may compute"
+        );
+    }
+    assert_eq!(
+        states_after - states_before,
+        0,
+        "no model-checker state may be explored in the fresh process"
+    );
+    let plain = WcetAnalysis::new(100)
+        .analyse_with_exhaustive(&f, &other)
+        .expect("storeless analysis");
+    assert_eq!(
+        warm, plain,
+        "the disk-served report must match a storeless run"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn exhaustive_reports_round_trip_through_the_disk_tier() {
+    let _analysing = analysing();
     let root = temp_root("exhaustive");
     let f = controller();
     let space: Vec<tmg_minic::value::InputVector> = (0..=6)
@@ -228,6 +349,7 @@ fn exhaustive_reports_round_trip_through_the_disk_tier() {
 
 #[test]
 fn corrupt_segments_degrade_to_a_clean_recompute() {
+    let _analysing = analysing();
     let root = temp_root("corrupt");
     let f = controller();
     let reference = WcetAnalysis::new(2)
@@ -276,6 +398,7 @@ fn corrupt_segments_degrade_to_a_clean_recompute() {
 
 #[test]
 fn the_disk_budget_evicts_whole_segments_oldest_first() {
+    let _analysing = analysing();
     let root = temp_root("budget");
     // Small segments so rotation produces several; a budget small enough
     // that a handful of functions overflows it, large enough for any
@@ -400,6 +523,7 @@ fn compaction_reclaims_dead_bytes_and_keeps_every_live_artifact_readable() {
 fn a_fresh_process_serves_module_bounds_warm_from_the_log() {
     use tmg_core::{ModuleAnalysis, TieredStore};
 
+    let _analysing = analysing();
     let root = temp_root("module-warm");
     let program = tmg_minic::parse_program(
         "void util(char v __range(0, 3)) { if (v > 1) { slow(); } else { fast(); } } \
