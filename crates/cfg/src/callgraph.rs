@@ -19,11 +19,14 @@
 //!   the set of functions whose summary can change when a given set of
 //!   functions is edited, i.e. the reverse-reachable closure of the edit.
 //!
-//! The graph itself is cheap (one AST walk), so the cached
-//! `CallGraphArtifact` in the pipeline is memory-tier only — its value is
-//! the stable [`CallGraph::key`] the per-function summary keys fold in.
+//! The graph itself is cheap (one AST walk) and carries no key of its own:
+//! the pipeline's memory-tier `CallGraphArtifact` is keyed by [`module_key`]
+//! over the function fingerprints, which `ModuleAnalysis` computes once per
+//! analysis and also folds into every per-function summary key.  Equal keys
+//! mean equal graphs, since a fingerprint covers the function's name and
+//! every call it makes.
 
-use crate::hash::{combine_hashes, function_fingerprint, stable_hash_str};
+use crate::hash::combine_hashes;
 use rustc_hash::FxHashMap;
 use tmg_minic::ast::{Program, Stmt};
 
@@ -50,17 +53,49 @@ impl std::fmt::Display for CallGraphError {
 impl std::error::Error for CallGraphError {}
 
 /// The call graph of one program's defined functions.  See the module docs.
+///
+/// Per-node data is stored back to back in a handful of flat vectors, not
+/// one allocation per node: the pipeline memoises up to a thousand module
+/// graphs in memory, where per-node `Vec`s and `String`s cost several times
+/// the edges themselves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallGraph {
-    names: Vec<String>,
+    /// Function names in program order, concatenated; name `i` is
+    /// `names[name_starts[i]..name_starts[i + 1]]`.
+    names: String,
+    name_starts: Vec<usize>,
     /// Deduplicated, sorted defined-callee indices per function.
-    callees: Vec<Vec<usize>>,
-    /// Reverse edges: the functions that call each function.
-    callers: Vec<Vec<usize>>,
+    callees: Rows,
+    /// Reverse edges: the functions that call each function, ascending.
+    callers: Rows,
     /// `call` statements per function that resolve to a defined callee
     /// (before deduplication — two call sites to one callee count twice).
     call_sites: Vec<usize>,
-    key: u64,
+}
+
+/// One index list per node, concatenated: row `i` is
+/// `items[starts[i]..starts[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rows {
+    starts: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Rows {
+    fn new(lists: Vec<Vec<usize>>) -> Rows {
+        let mut starts = Vec::with_capacity(lists.len() + 1);
+        starts.push(0);
+        let mut items = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for list in lists {
+            items.extend(list);
+            starts.push(items.len());
+        }
+        Rows { starts, items }
+    }
+
+    fn row(&self, i: usize) -> &[usize] {
+        &self.items[self.starts[i]..self.starts[i + 1]]
+    }
 }
 
 impl CallGraph {
@@ -68,15 +103,16 @@ impl CallGraph {
     /// representable (and detected by [`Self::reverse_topological_order`]),
     /// calls to undefined names are external leaves and contribute no edge.
     pub fn build(program: &Program) -> CallGraph {
-        let names: Vec<String> = program.functions.iter().map(|f| f.name.clone()).collect();
-        let index: FxHashMap<&str, usize> = names
+        let n = program.functions.len();
+        let index: FxHashMap<&str, usize> = program
+            .functions
             .iter()
             .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
+            .map(|(i, f)| (f.name.as_str(), i))
             .collect();
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        let mut call_sites = vec![0usize; names.len()];
+        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut call_sites = vec![0usize; n];
         for (i, function) in program.functions.iter().enumerate() {
             function.for_each_stmt(&mut |stmt| {
                 if let Stmt::Call { callee, .. } = stmt {
@@ -92,44 +128,49 @@ impl CallGraph {
                 callers[j].push(i);
             }
         }
-        let key = graph_key(program, &callees);
+        let mut names = String::new();
+        let mut name_starts = vec![0];
+        for function in &program.functions {
+            names.push_str(&function.name);
+            name_starts.push(names.len());
+        }
         CallGraph {
             names,
-            callees,
-            callers,
+            name_starts,
+            callees: Rows::new(callees),
+            callers: Rows::new(callers),
             call_sites,
-            key,
         }
     }
 
     /// Number of defined functions (nodes).
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.call_sites.len()
     }
 
     /// Whether the program defines no functions.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.call_sites.is_empty()
     }
 
     /// Function name of node `i` (program order).
     pub fn name(&self, i: usize) -> &str {
-        &self.names[i]
+        &self.names[self.name_starts[i]..self.name_starts[i + 1]]
     }
 
     /// Node index of a function name, if defined.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
+        (0..self.len()).position(|i| self.name(i) == name)
     }
 
     /// Sorted, deduplicated defined callees of node `i`.
     pub fn callees(&self, i: usize) -> &[usize] {
-        &self.callees[i]
+        self.callees.row(i)
     }
 
     /// The nodes that call node `i` (its direct reverse edges).
     pub fn callers(&self, i: usize) -> &[usize] {
-        &self.callers[i]
+        self.callers.row(i)
     }
 
     /// Call statements in node `i` that resolve to defined callees
@@ -140,22 +181,14 @@ impl CallGraph {
 
     /// Total defined-call edges (deduplicated per caller).
     pub fn edge_count(&self) -> usize {
-        self.callees.iter().map(Vec::len).sum()
+        self.callees.items.len()
     }
 
     /// The nodes no defined function calls — the analysis roots.
     pub fn roots(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&i| self.callers[i].is_empty())
+            .filter(|&i| self.callers(i).is_empty())
             .collect()
-    }
-
-    /// Stable content key of the graph: the module fingerprint (every
-    /// function's source fingerprint in program order) mixed with the edge
-    /// structure.  Two programs share a key exactly when every function body
-    /// and the resolved call structure are identical.
-    pub fn key(&self) -> u64 {
-        self.key
     }
 
     /// A bottom-up summary order: every function appears after all of its
@@ -169,7 +202,7 @@ impl CallGraph {
     pub fn reverse_topological_order(&self) -> Result<Vec<usize>, CallGraphError> {
         if let Some(cycle) = self.find_cycle() {
             return Err(CallGraphError {
-                cycle: cycle.into_iter().map(|i| self.names[i].clone()).collect(),
+                cycle: cycle.into_iter().map(|i| self.name(i).to_owned()).collect(),
             });
         }
         // Kahn's algorithm on out-degree: a node is ready when all of its
@@ -177,13 +210,13 @@ impl CallGraph {
         // for the smallest ready index keeps the order deterministic and the
         // graph sizes here are module-scale, not fleet-scale.
         let n = self.len();
-        let mut remaining: Vec<usize> = self.callees.iter().map(Vec::len).collect();
+        let mut remaining: Vec<usize> = (0..n).map(|i| self.callees(i).len()).collect();
         let mut ready: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(&next) = ready.iter().min() {
             ready.retain(|&i| i != next);
             order.push(next);
-            for &caller in &self.callers[next] {
+            for &caller in self.callers(next) {
                 remaining[caller] -= 1;
                 if remaining[caller] == 0 {
                     ready.push(caller);
@@ -237,8 +270,8 @@ impl CallGraph {
                 }
                 Frame::Resume(v, mut edge) => {
                     let mut descended = false;
-                    while edge < self.callees[v].len() {
-                        let w = self.callees[v][edge];
+                    while edge < self.callees(v).len() {
+                        let w = self.callees(v)[edge];
                         edge += 1;
                         if s.index[w] == usize::MAX {
                             work.push(Frame::Resume(v, edge));
@@ -263,7 +296,7 @@ impl CallGraph {
                             }
                         }
                         let self_loop =
-                            component.len() == 1 && self.callees[v].binary_search(&v).is_ok();
+                            component.len() == 1 && self.callees(v).binary_search(&v).is_ok();
                         if component.len() > 1 || self_loop {
                             component.sort_unstable();
                             s.cycle = Some(component);
@@ -294,7 +327,7 @@ impl CallGraph {
             dirty[i] = true;
         }
         while let Some(i) = work.pop() {
-            for &caller in &self.callers[i] {
+            for &caller in self.callers(i) {
                 if !dirty[caller] {
                     dirty[caller] = true;
                     work.push(caller);
@@ -314,28 +347,18 @@ struct TarjanState {
     cycle: Option<Vec<usize>>,
 }
 
-/// Stable fingerprint of a whole module: every function's source
-/// fingerprint, in program order.  This is the cache key of the
-/// `CallGraphArtifact` — any edit to any function (or a reorder) changes it.
-pub fn module_fingerprint(program: &Program) -> u64 {
-    let parts: Vec<u64> = program.functions.iter().map(function_fingerprint).collect();
-    combine_hashes(&parts)
-}
-
-fn graph_key(program: &Program, callees: &[Vec<usize>]) -> u64 {
-    let mut parts = vec![module_fingerprint(program)];
-    for (i, edges) in callees.iter().enumerate() {
-        parts.push(stable_hash_str(&program.functions[i].name));
-        parts.push(combine_hashes(
-            &edges.iter().map(|&j| j as u64).collect::<Vec<u64>>(),
-        ));
-    }
-    combine_hashes(&parts)
+/// Key of a whole module: its functions' source fingerprints
+/// ([`crate::function_fingerprint`]) in program order.  This is the cache key
+/// of the `CallGraphArtifact` — any edit to any function (or a reorder)
+/// changes it.
+pub fn module_key(fingerprints: &[u64]) -> u64 {
+    combine_hashes(fingerprints)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::function_fingerprint;
     use tmg_minic::parse_program;
 
     fn graph(source: &str) -> CallGraph {
@@ -406,13 +429,24 @@ mod tests {
 
     #[test]
     fn key_tracks_bodies_and_structure() {
-        let base = graph("void a() { b(); } void b() { x(); }");
-        let same = graph("void a() { b(); } void b() { x(); }");
-        let edited_body = graph("void a() { b(); } void b() { y(); }");
-        let new_edge = graph("void a() { b(); b(); } void b() { x(); }");
-        assert_eq!(base.key(), same.key());
-        assert_ne!(base.key(), edited_body.key());
-        assert_ne!(base.key(), new_edge.key());
+        let key = |source: &str| {
+            let program = parse_program(source).expect("parse");
+            let fingerprints: Vec<u64> =
+                program.functions.iter().map(function_fingerprint).collect();
+            module_key(&fingerprints)
+        };
+        let base = key("void a() { b(); } void b() { x(); }");
+        assert_eq!(base, key("void a() { b(); } void b() { x(); }"));
+        assert_ne!(
+            base,
+            key("void a() { b(); } void b() { y(); }"),
+            "edited body"
+        );
+        assert_ne!(
+            base,
+            key("void a() { b(); b(); } void b() { x(); }"),
+            "new edge"
+        );
     }
 
     #[test]

@@ -7,7 +7,14 @@
 //! out `std::collections::hash_map::RandomState` (randomly seeded) and any
 //! hasher whose algorithm is unspecified.  [`StableHasher`] is a plain
 //! FNV-1a over the byte stream, fully determined by the bytes written.
+//!
+//! Rendered inputs — the pretty-printed function source, the `Debug` text of
+//! a configuration — are hashed as they are rendered: [`function_fingerprint`]
+//! and [`stable_hash_debug`] write through a [`fmt::Write`] sink straight into
+//! the hasher, and hash exactly the bytes (and length terminator)
+//! [`stable_hash_str`] hashes for the rendered `String`, without building it.
 
+use std::fmt::{self, Write as _};
 use std::hash::Hasher;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -82,10 +89,42 @@ impl Hasher for StableHasher {
 /// Stable hash of a string (its UTF-8 bytes plus a length terminator, so
 /// concatenation ambiguities cannot collide keys built from several parts).
 pub fn stable_hash_str(s: &str) -> u64 {
-    let mut h = StableHasher::new();
-    h.write(s.as_bytes());
-    h.write_u64(s.len() as u64);
-    h.finish()
+    let mut sink = StrHasher::default();
+    sink.write_str(s).expect("hashing never fails");
+    sink.finish()
+}
+
+/// Stable hash of a value's `Debug` rendering: equal to
+/// `stable_hash_str(&format!("{value:?}"))`, rendered straight into the
+/// hasher.
+pub fn stable_hash_debug(value: &impl fmt::Debug) -> u64 {
+    let mut sink = StrHasher::default();
+    write!(sink, "{value:?}").expect("hashing never fails");
+    sink.finish()
+}
+
+/// A [`fmt::Write`] sink hashing the concatenation of everything written
+/// exactly as [`stable_hash_str`] hashes that string: its bytes, then its
+/// total length.
+#[derive(Default)]
+struct StrHasher {
+    hasher: StableHasher,
+    len: u64,
+}
+
+impl StrHasher {
+    fn finish(mut self) -> u64 {
+        self.hasher.write_u64(self.len);
+        self.hasher.finish()
+    }
+}
+
+impl fmt::Write for StrHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.hasher.write(s.as_bytes());
+        self.len += s.len() as u64;
+        Ok(())
+    }
 }
 
 /// Mixes an ordered sequence of part-hashes into one key.  Order matters:
@@ -114,7 +153,9 @@ pub fn key_hex(key: u64) -> String {
 /// initialisers, loop `__bound`s — so two functions share a fingerprint
 /// exactly when the analysis pipeline cannot distinguish them.
 pub fn function_fingerprint(function: &tmg_minic::ast::Function) -> u64 {
-    stable_hash_str(&tmg_minic::pretty::function_to_string(function))
+    let mut sink = StrHasher::default();
+    tmg_minic::pretty::write_function(&mut sink, function).expect("hashing never fails");
+    sink.finish()
 }
 
 #[cfg(test)]
@@ -131,6 +172,15 @@ mod tests {
         let mut h = StableHasher::new();
         h.write_u64(0);
         assert_eq!(stable_hash_str(""), h.finish());
+    }
+
+    #[test]
+    fn debug_hash_streams_the_rendered_string() {
+        let value = (vec![("leaf", 40u64)], Some("x\ny"));
+        assert_eq!(
+            stable_hash_debug(&value),
+            stable_hash_str(&format!("{value:?}"))
+        );
     }
 
     #[test]

@@ -46,12 +46,14 @@ pub mod regions;
 
 pub use block::{BasicBlock, BlockId, BlockKind, Terminator};
 pub use builder::{build_cfg, LoweredFunction};
-pub use callgraph::{module_fingerprint, CallGraph, CallGraphError};
+pub use callgraph::{module_key, CallGraph, CallGraphError};
 pub use counts::{PartitionStats, PathCounts};
 pub use depend::{cone_of_influence, ConeOfInfluence};
 pub use dominators::DominatorTree;
 pub use graph::Cfg;
-pub use hash::{combine_hashes, function_fingerprint, key_hex, stable_hash_str, StableHasher};
+pub use hash::{
+    combine_hashes, function_fingerprint, key_hex, stable_hash_debug, stable_hash_str, StableHasher,
+};
 pub use paths::{
     count_paths_block, count_region_paths, enumerate_region_paths, region_path_iter, PathSpec,
     RegionPathIter,

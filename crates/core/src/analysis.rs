@@ -11,7 +11,9 @@
 
 use crate::measurement::MeasurementCampaign;
 use crate::partition::PartitionPlan;
-use crate::pipeline::{analyse_staged, analyse_staged_detailed, ArtifactStore, Stage, TieredStore};
+use crate::pipeline::{
+    analyse_staged, analyse_staged_detailed, bound_key, ArtifactStore, Stage, TieredStore,
+};
 use crate::testgen::{HybridGenerator, TestSuite};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -314,13 +316,29 @@ impl WcetAnalysis {
         ))
     }
 
+    fn run(
+        &self,
+        function: &Function,
+        input_space: Option<&[InputVector]>,
+    ) -> Result<AnalysisReport, AnalysisError> {
+        let function_key = tmg_cfg::function_fingerprint(function);
+        let key = bound_key(self, function_key, input_space);
+        self.run_keyed(function, function_key, key, input_space)
+    }
+
+    /// [`Self::analyse`] (or, with an input space, the exhaustive variant)
+    /// for a caller that already derived the function's fingerprint
+    /// `function_key` and its [`bound_key`] `key` under this analysis.
+    ///
     /// Dispatches the staged run to the statically-typed in-memory path
     /// whenever the tier is (or wraps nothing but) the plain
     /// [`ArtifactStore`] — the stage chain then monomorphises and inlines —
     /// and to the dynamic path for every other tier.
-    fn run(
+    pub(crate) fn run_keyed(
         &self,
         function: &Function,
+        function_key: u64,
+        key: u64,
         input_space: Option<&[InputVector]>,
     ) -> Result<AnalysisReport, AnalysisError> {
         // A fired deadline unwinds out of the model checker (the only stage
@@ -328,10 +346,19 @@ impl WcetAnalysis {
         // the unwind into a typed error and attributes it to the test
         // generation stage, which hosts the checker.
         tmg_tsys::catch_cancel(|| match &self.store {
-            None => analyse_staged(&ArtifactStore::new(), self, function, input_space),
+            None => analyse_staged(
+                &ArtifactStore::new(),
+                self,
+                function,
+                function_key,
+                key,
+                input_space,
+            ),
             Some(tier) => match tier.as_memory_store() {
-                Some(memory) => analyse_staged(memory, self, function, input_space),
-                None => analyse_staged(&**tier, self, function, input_space),
+                Some(memory) => {
+                    analyse_staged(memory, self, function, function_key, key, input_space)
+                }
+                None => analyse_staged(&**tier, self, function, function_key, key, input_space),
             },
         })
         .unwrap_or_else(|_| Err(AnalysisError::cancelled(Stage::Testgen, &function.name)))

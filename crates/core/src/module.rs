@@ -38,7 +38,7 @@
 //! module-level soundness tests sweep exhaustively.
 
 use crate::analysis::{AnalysisError, AnalysisReport, WcetAnalysis};
-use crate::pipeline::{bound_key, ArtifactStore, Stage, TieredStore};
+use crate::pipeline::{ArtifactStore, BoundKeys, Stage, TieredStore};
 use std::fmt;
 use std::sync::Arc;
 use tmg_cfg::{combine_hashes, function_fingerprint};
@@ -296,7 +296,12 @@ impl ModuleAnalysis {
             .store_tier()
             .unwrap_or_else(|| Arc::new(ArtifactStore::new()));
         let base = self.analysis.clone().with_store(Arc::clone(&store));
-        let artifact = store.memory().callgraph(program);
+        // Every key below is derived once per run: one fingerprint per
+        // function (shared by the call-graph memo, the summary keys and the
+        // dirty cone's staged runs) and one hash of the generator.
+        let fingerprints: Vec<u64> = program.functions.iter().map(function_fingerprint).collect();
+        let bound_keys = BoundKeys::new(&base);
+        let artifact = store.memory().callgraph(program, &fingerprints);
         let order = match &artifact.order {
             Ok(order) => order.clone(),
             Err(cycle) => {
@@ -321,8 +326,7 @@ impl ModuleAnalysis {
                 .iter()
                 .map(|&j| (graph.name(j).to_owned(), bounds[j]))
                 .collect();
-            let mut per_fn = base.clone();
-            per_fn.cost_model = base.cost_model.clone().with_call_bounds(call_bounds);
+            let cost_model = base.cost_model.clone().with_call_bounds(call_bounds);
             // The summary key folds the function's own bound key (which the
             // priced cost model — and through it every callee *bound* —
             // already feeds) with the callees' summary keys, so a callee
@@ -330,7 +334,8 @@ impl ModuleAnalysis {
             // the caller: the probe below misses, but the pipeline then
             // hits the unchanged inner bound key and the re-publication is
             // near-free.
-            let mut parts = vec![bound_key(&per_fn, function_fingerprint(function), None)];
+            let inner_key = bound_keys.key(fingerprints[i], &cost_model, None);
+            let mut parts = vec![inner_key];
             parts.extend(graph.callees(i).iter().map(|&j| summary_keys[j]));
             let key = combine_hashes(&parts);
             summary_keys[i] = key;
@@ -340,7 +345,8 @@ impl ModuleAnalysis {
                     hit.report.clone()
                 }
                 None => {
-                    let report = per_fn.analyse(function)?;
+                    let per_fn = base.clone().with_cost_model(cost_model);
+                    let report = per_fn.run_keyed(function, fingerprints[i], inner_key, None)?;
                     store.put_bound(key, report.clone());
                     report
                 }

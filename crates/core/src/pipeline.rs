@@ -24,7 +24,10 @@
 //! pretty-printed function source combined with the `Debug` rendering of the
 //! relevant configuration (cost model, checker and heuristic settings) and
 //! the path bound — every field that can change a stage's output feeds its
-//! key, so a hit is always semantically safe to reuse.  The store counts
+//! key, so a hit is always semantically safe to reuse.  Both renderings are
+//! streamed into the hasher rather than built as strings, and a caller that
+//! already holds a function's fingerprint or bound key (the module analysis)
+//! hands it down instead of re-deriving it.  The store counts
 //! hits, misses and evictions per [`Stage`]; tests assert that a second
 //! analysis of an unchanged function performs no re-partitioning and no
 //! re-encoding.
@@ -58,8 +61,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tmg_cfg::{
-    build_cfg, combine_hashes, function_fingerprint, module_fingerprint, stable_hash_str,
-    CallGraph, CallGraphError, LoweredFunction, PathCounts, Terminator,
+    build_cfg, combine_hashes, function_fingerprint, module_key, stable_hash_debug,
+    stable_hash_str, CallGraph, CallGraphError, LoweredFunction, PathCounts, Terminator,
 };
 use tmg_minic::ast::{Function, Program};
 use tmg_minic::value::InputVector;
@@ -285,16 +288,15 @@ pub struct BoundArtifact {
     pub report: AnalysisReport,
 }
 
-/// The module call graph plus its bottom-up summary order, keyed by the
-/// module fingerprint.  Memory-tier only: rebuilding is one AST walk, so
-/// persisting it would cost more than it saves — its value is serving warm
-/// module analyses without re-walking unchanged programs, and carrying the
-/// stable [`CallGraph::key`] the per-function summary keys fold in.  The
-/// order is cached as a `Result` so a recursive module pays the cycle check
-/// once, not per analysis.
+/// The module call graph plus its bottom-up summary order, keyed by
+/// [`module_key`] over the function fingerprints.  Memory-tier only:
+/// rebuilding is one AST walk, so persisting it would cost more than it
+/// saves — its value is serving warm module analyses without re-walking
+/// unchanged programs.  The order is cached as a `Result` so a recursive
+/// module pays the cycle check once, not per analysis.
 #[derive(Debug)]
 pub struct CallGraphArtifact {
-    /// Content key the artifact is stored under (the module fingerprint).
+    /// Content key the artifact is stored under ([`module_key`]).
     pub key: u64,
     /// The call graph (nodes in program order).
     pub graph: CallGraph,
@@ -582,11 +584,14 @@ impl ArtifactStore {
         }
     }
 
-    /// The call-graph artifact of `program`, keyed by its module
-    /// fingerprint: graph plus bottom-up summary order, built on the first
-    /// request and served from memory afterwards.
-    pub fn callgraph(&self, program: &Program) -> Arc<CallGraphArtifact> {
-        let key = module_fingerprint(program);
+    /// The call-graph artifact of `program`, keyed by [`module_key`] over
+    /// `fingerprints` (its functions' [`function_fingerprint`]s in program
+    /// order, which the caller has already computed): graph plus bottom-up
+    /// summary order, built on the first request and served from memory
+    /// afterwards.
+    pub fn callgraph(&self, program: &Program, fingerprints: &[u64]) -> Arc<CallGraphArtifact> {
+        debug_assert_eq!(fingerprints.len(), program.functions.len());
+        let key = module_key(fingerprints);
         let found = self.callgraphs.lock().expect("store lock").get(key);
         if let Some(hit) = found {
             self.callgraph_hits.fetch_add(1, Ordering::Relaxed);
@@ -752,17 +757,17 @@ pub fn partition_key(function_key: u64, path_bound: u128) -> u64 {
 
 /// Key of the prepared-model artifact at `(function, checker configuration)`.
 pub fn prepared_model_key(function_key: u64, checker: &ModelChecker) -> u64 {
-    combine_hashes(&[function_key, stable_hash_str(&format!("{checker:?}"))])
+    combine_hashes(&[function_key, stable_hash_debug(checker)])
 }
 
 /// Key of the suite artifact at `(partition, generator configuration)`.
 pub fn suite_key(partition_key: u64, generator: &HybridGenerator) -> u64 {
-    combine_hashes(&[partition_key, stable_hash_str(&format!("{generator:?}"))])
+    combine_hashes(&[partition_key, stable_hash_debug(generator)])
 }
 
 /// Key of the campaign artifact at `(suite, cost model)`.
 pub fn campaign_key(suite_key: u64, cost_model: &CostModel) -> u64 {
-    combine_hashes(&[suite_key, stable_hash_str(&format!("{cost_model:?}"))])
+    combine_hashes(&[suite_key, stable_hash_debug(cost_model)])
 }
 
 /// Key of the final bound artifact.  Composes every upstream key without
@@ -773,14 +778,41 @@ pub fn bound_key(
     function_key: u64,
     input_space: Option<&[InputVector]>,
 ) -> u64 {
-    combine_hashes(&[
-        function_key,
-        (analysis.path_bound >> 64) as u64,
-        analysis.path_bound as u64,
-        stable_hash_str(&format!("{:?}", analysis.generator)),
-        stable_hash_str(&format!("{:?}", analysis.cost_model)),
-        input_space_hash(input_space),
-    ])
+    BoundKeys::new(analysis).key(function_key, &analysis.cost_model, input_space)
+}
+
+/// [`bound_key`] with the per-analysis part — path bound and generator,
+/// whose `Debug` rendering dominates the hashing — derived once, for a
+/// caller keying many functions or cost models under one analysis.
+pub(crate) struct BoundKeys {
+    path_bound: u128,
+    generator: u64,
+}
+
+impl BoundKeys {
+    pub(crate) fn new(analysis: &WcetAnalysis) -> BoundKeys {
+        BoundKeys {
+            path_bound: analysis.path_bound,
+            generator: stable_hash_debug(&analysis.generator),
+        }
+    }
+
+    /// The [`bound_key`] of `function_key` under `cost_model`.
+    pub(crate) fn key(
+        &self,
+        function_key: u64,
+        cost_model: &CostModel,
+        input_space: Option<&[InputVector]>,
+    ) -> u64 {
+        combine_hashes(&[
+            function_key,
+            (self.path_bound >> 64) as u64,
+            self.path_bound as u64,
+            self.generator,
+            stable_hash_debug(cost_model),
+            input_space_hash(input_space),
+        ])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -924,8 +956,10 @@ pub struct StagedAnalysis {
 }
 
 /// Runs the full staged pipeline for `analysis` on `function` through
-/// `store`, returning only the report.  A hit on the final bound artifact
-/// short-circuits every earlier stage (no lookup, no recompute).
+/// `store`, returning only the report.  `function_key` is the function's
+/// fingerprint and `key` its [`bound_key`], both derived by the caller.  A
+/// hit on the final bound artifact short-circuits every earlier stage (no
+/// lookup, no recompute).
 ///
 /// Generic over the tier (`?Sized`, so `&dyn TieredStore` works too): calls
 /// with a statically known store type monomorphise the whole stage chain.
@@ -933,14 +967,15 @@ pub struct StagedAnalysis {
 /// # Errors
 ///
 /// Returns [`AnalysisError`] when a measurement run faults on the target.
-pub fn analyse_staged<S: TieredStore + ?Sized>(
+pub(crate) fn analyse_staged<S: TieredStore + ?Sized>(
     store: &S,
     analysis: &WcetAnalysis,
     function: &Function,
+    function_key: u64,
+    key: u64,
     input_space: Option<&[InputVector]>,
 ) -> Result<AnalysisReport, AnalysisError> {
-    let function_key = function_fingerprint(function);
-    let key = bound_key(analysis, function_key, input_space);
+    debug_assert_eq!(key, bound_key(analysis, function_key, input_space));
     if let Some(hit) = store.bound(key) {
         return Ok(hit.report.clone());
     }

@@ -6,7 +6,9 @@
 //! property test of parser/printer consistency.
 
 use crate::ast::{Block, Expr, Function, Program, Stmt, UnOp};
-use std::fmt::Write;
+use std::fmt::{self, Write};
+
+const STRING_SINK: &str = "writing to a String cannot fail";
 
 /// Renders a whole program as C-like source.
 pub fn program_to_string(program: &Program) -> String {
@@ -15,7 +17,7 @@ pub fn program_to_string(program: &Program) -> String {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&function_to_string(f));
+        write_function(&mut out, f).expect(STRING_SINK);
     }
     out
 }
@@ -23,95 +25,104 @@ pub fn program_to_string(program: &Program) -> String {
 /// Renders a single function definition.
 pub fn function_to_string(function: &Function) -> String {
     let mut out = String::new();
-    let ret = function
-        .ret_ty
-        .map(|t| t.keyword().to_owned())
-        .unwrap_or_else(|| "void".to_owned());
-    let params = function
-        .params
-        .iter()
-        .map(|p| {
-            let mut s = format!("{} {}", p.ty.keyword(), p.name);
-            if let Some((lo, hi)) = p.range {
-                let _ = write!(s, " __range({lo}, {hi})");
-            }
-            s
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let _ = writeln!(out, "{ret} {}({params}) {{", function.name);
-    for local in &function.locals {
-        let mut line = format!("    {} {}", local.ty.keyword(), local.name);
-        if let Some((lo, hi)) = local.range {
-            let _ = write!(line, " __range({lo}, {hi})");
-        }
-        if let Some(init) = &local.init {
-            let _ = write!(line, " = {}", expr_to_string(init));
-        }
-        line.push(';');
-        let _ = writeln!(out, "{line}");
-    }
-    write_block(&mut out, &function.body, 1);
-    out.push_str("}\n");
+    write_function(&mut out, function).expect(STRING_SINK);
     out
 }
 
-fn indent(out: &mut String, level: usize) {
+/// Writes a single function definition into any [`fmt::Write`] sink — the
+/// exact bytes [`function_to_string`] returns.  Content hashing streams the
+/// source through this without building the `String`.
+///
+/// # Errors
+///
+/// Only the sink's own errors.
+pub fn write_function<W: Write>(out: &mut W, function: &Function) -> fmt::Result {
+    let ret = function.ret_ty.map_or("void", |t| t.keyword());
+    write!(out, "{ret} {}(", function.name)?;
+    for (i, p) in function.params.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write!(out, "{} {}", p.ty.keyword(), p.name)?;
+        if let Some((lo, hi)) = p.range {
+            write!(out, " __range({lo}, {hi})")?;
+        }
+    }
+    out.write_str(") {\n")?;
+    for local in &function.locals {
+        write!(out, "    {} {}", local.ty.keyword(), local.name)?;
+        if let Some((lo, hi)) = local.range {
+            write!(out, " __range({lo}, {hi})")?;
+        }
+        if let Some(init) = &local.init {
+            out.write_str(" = ")?;
+            write_expr(out, init)?;
+        }
+        out.write_str(";\n")?;
+    }
+    write_block(out, &function.body, 1)?;
+    out.write_str("}\n")
+}
+
+fn indent<W: Write>(out: &mut W, level: usize) -> fmt::Result {
     for _ in 0..level {
-        out.push_str("    ");
+        out.write_str("    ")?;
     }
+    Ok(())
 }
 
-fn write_block(out: &mut String, block: &Block, level: usize) {
+fn write_block<W: Write>(out: &mut W, block: &Block, level: usize) -> fmt::Result {
     for stmt in &block.stmts {
-        write_stmt(out, stmt, level);
+        write_stmt(out, stmt, level)?;
     }
+    Ok(())
 }
 
-fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
+fn write_stmt<W: Write>(out: &mut W, stmt: &Stmt, level: usize) -> fmt::Result {
+    indent(out, level)?;
     match stmt {
         Stmt::Assign { target, value, .. } => {
-            indent(out, level);
-            let _ = writeln!(out, "{target} = {};", expr_to_string(value));
+            write!(out, "{target} = ")?;
+            write_expr(out, value)?;
+            out.write_str(";\n")
         }
         Stmt::Call { callee, args, .. } => {
-            indent(out, level);
-            let args = args
-                .iter()
-                .map(expr_to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(out, "{callee}({args});");
-        }
-        Stmt::Return { value, .. } => {
-            indent(out, level);
-            match value {
-                Some(v) => {
-                    let _ = writeln!(out, "return {};", expr_to_string(v));
+            write!(out, "{callee}(")?;
+            for (i, arg) in args.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
                 }
-                None => {
-                    let _ = writeln!(out, "return;");
-                }
+                write_expr(out, arg)?;
             }
+            out.write_str(");\n")
         }
+        Stmt::Return { value, .. } => match value {
+            Some(v) => {
+                out.write_str("return ")?;
+                write_expr(out, v)?;
+                out.write_str(";\n")
+            }
+            None => out.write_str("return;\n"),
+        },
         Stmt::If {
             cond,
             then_branch,
             else_branch,
             ..
         } => {
-            indent(out, level);
-            let _ = writeln!(out, "if ({}) {{", expr_to_string(cond));
-            write_block(out, then_branch, level + 1);
-            indent(out, level);
+            out.write_str("if (")?;
+            write_expr(out, cond)?;
+            out.write_str(") {\n")?;
+            write_block(out, then_branch, level + 1)?;
+            indent(out, level)?;
             match else_branch {
                 Some(e) => {
-                    out.push_str("} else {\n");
-                    write_block(out, e, level + 1);
-                    indent(out, level);
-                    out.push_str("}\n");
+                    out.write_str("} else {\n")?;
+                    write_block(out, e, level + 1)?;
+                    indent(out, level)?;
+                    out.write_str("}\n")
                 }
-                None => out.push_str("}\n"),
+                None => out.write_str("}\n"),
             }
         }
         Stmt::Switch {
@@ -120,58 +131,60 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
             default,
             ..
         } => {
-            indent(out, level);
-            let _ = writeln!(out, "switch ({}) {{", expr_to_string(selector));
+            out.write_str("switch (")?;
+            write_expr(out, selector)?;
+            out.write_str(") {\n")?;
             for case in cases {
-                indent(out, level + 1);
-                let _ = writeln!(out, "case {}:", case.value);
-                write_block(out, &case.body, level + 2);
-                indent(out, level + 2);
-                out.push_str("break;\n");
+                indent(out, level + 1)?;
+                writeln!(out, "case {}:", case.value)?;
+                write_block(out, &case.body, level + 2)?;
+                indent(out, level + 2)?;
+                out.write_str("break;\n")?;
             }
             if let Some(d) = default {
-                indent(out, level + 1);
-                out.push_str("default:\n");
-                write_block(out, d, level + 2);
-                indent(out, level + 2);
-                out.push_str("break;\n");
+                indent(out, level + 1)?;
+                out.write_str("default:\n")?;
+                write_block(out, d, level + 2)?;
+                indent(out, level + 2)?;
+                out.write_str("break;\n")?;
             }
-            indent(out, level);
-            out.push_str("}\n");
+            indent(out, level)?;
+            out.write_str("}\n")
         }
         Stmt::While {
             cond, bound, body, ..
         } => {
-            indent(out, level);
-            let _ = writeln!(out, "while ({}) __bound({bound}) {{", expr_to_string(cond));
-            write_block(out, body, level + 1);
-            indent(out, level);
-            out.push_str("}\n");
+            out.write_str("while (")?;
+            write_expr(out, cond)?;
+            writeln!(out, ") __bound({bound}) {{")?;
+            write_block(out, body, level + 1)?;
+            indent(out, level)?;
+            out.write_str("}\n")
         }
     }
 }
 
-/// Renders an expression with full parenthesisation (unambiguous and easy to
+/// Writes an expression with full parenthesisation (unambiguous and easy to
 /// re-parse; the paper's generated code is similarly parenthesis-heavy).
-pub fn expr_to_string(expr: &Expr) -> String {
+fn write_expr<W: Write>(out: &mut W, expr: &Expr) -> fmt::Result {
     match expr {
-        Expr::Int(v) => v.to_string(),
-        Expr::Var(name) => name.clone(),
+        Expr::Int(v) => write!(out, "{v}"),
+        Expr::Var(name) => out.write_str(name),
         Expr::Unary { op, operand } => {
-            let sym = match op {
-                UnOp::Neg => "-",
-                UnOp::Not => "!",
-                UnOp::BitNot => "~",
-            };
-            format!("{sym}({})", expr_to_string(operand))
+            out.write_str(match op {
+                UnOp::Neg => "-(",
+                UnOp::Not => "!(",
+                UnOp::BitNot => "~(",
+            })?;
+            write_expr(out, operand)?;
+            out.write_str(")")
         }
         Expr::Binary { op, lhs, rhs } => {
-            format!(
-                "({} {} {})",
-                expr_to_string(lhs),
-                op.symbol(),
-                expr_to_string(rhs)
-            )
+            out.write_str("(")?;
+            write_expr(out, lhs)?;
+            write!(out, " {} ", op.symbol())?;
+            write_expr(out, rhs)?;
+            out.write_str(")")
         }
     }
 }

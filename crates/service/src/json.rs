@@ -7,9 +7,15 @@
 //! `u128`); floats fall back to `f64`.  The parser accepts exactly the JSON
 //! grammar — objects, arrays, strings with the standard escapes, numbers,
 //! booleans, null — and rejects everything else with a position-tagged
-//! error, which the server maps to an `ok:false` response.
+//! error, which the server maps to an `ok:false` response.  Nesting is capped
+//! at `MAX_DEPTH` so that hostile input cannot overflow the parser's stack.
 
 use rustc_hash::FxHashMap;
+
+/// Deepest array/object nesting [`parse`] accepts; deeper input is a
+/// "nesting too deep" error.  Protocol requests nest at most 3 deep, and the
+/// recursive descent stays far from any thread's stack limit at this depth.
+pub(crate) const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +114,7 @@ impl std::error::Error for ParseError {}
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(ParseError {
@@ -134,7 +140,8 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8, message: &'static str) -> Result
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays or objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
     let Some(&c) = bytes.get(*pos) else {
         return Err(ParseError {
@@ -142,9 +149,15 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             message: "unexpected end of input",
         });
     };
+    if matches!(c, b'{' | b'[') && depth == MAX_DEPTH {
+        return Err(ParseError {
+            at: *pos,
+            message: "nesting too deep",
+        });
+    }
     match c {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' => parse_object(bytes, pos, depth + 1),
+        b'[' => parse_array(bytes, pos, depth + 1),
         b'"' => Ok(Value::Str(parse_string(bytes, pos)?)),
         b't' | b'f' | b'n' => parse_keyword(bytes, pos),
         b'-' | b'0'..=b'9' => parse_number(bytes, pos),
@@ -172,7 +185,7 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     })
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     expect(bytes, pos, b'{', "expected '{'")?;
     let mut map = FxHashMap::default();
     skip_ws(bytes, pos);
@@ -185,7 +198,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':', "expected ':'")?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -204,7 +217,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     expect(bytes, pos, b'[', "expected '['")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -213,7 +226,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -402,6 +415,24 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(
+            parse(&objects).expect_err("objects too").message,
+            "nesting too deep"
+        );
     }
 
     #[test]

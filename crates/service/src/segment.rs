@@ -98,6 +98,47 @@ struct Loc {
     len: u32,
 }
 
+/// The live-frame index, `(stage, key) → Loc`, kept as one map per stage.
+/// A bare `u64` key makes every entry 8 bytes smaller than a `(u8, u64)`
+/// tuple key, and the stage maps grow (and rehash) one at a time: the index
+/// is the only memory that grows with the number of persisted artifacts.
+#[derive(Default)]
+struct Index([FxHashMap<u64, Loc>; STAGES.len()]);
+
+impl Index {
+    fn get(&self, &(stage, key): &(u8, u64)) -> Option<&Loc> {
+        self.0[usize::from(stage)].get(&key)
+    }
+
+    fn insert(&mut self, (stage, key): (u8, u64), loc: Loc) -> Option<Loc> {
+        self.0[usize::from(stage)].insert(key, loc)
+    }
+
+    fn remove(&mut self, &(stage, key): &(u8, u64)) -> Option<Loc> {
+        self.0[usize::from(stage)].remove(&key)
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(FxHashMap::len).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = ((u8, u64), &Loc)> {
+        (0u8..)
+            .zip(&self.0)
+            .flat_map(|(stage, map)| map.iter().map(move |(key, loc)| ((stage, *key), loc)))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Loc> {
+        self.0.iter().flat_map(FxHashMap::values)
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&Loc) -> bool) {
+        for map in &mut self.0 {
+            map.retain(|_, loc| keep(loc));
+        }
+    }
+}
+
 /// Accounting for one segment file.
 #[derive(Debug, Clone, Copy, Default)]
 struct SegmentInfo {
@@ -124,7 +165,7 @@ struct ActiveSegment {
 
 #[derive(Default)]
 struct LogState {
-    index: FxHashMap<(u8, u64), Loc>,
+    index: Index,
     /// Ascending id = oldest first, which is the eviction order.
     segments: BTreeMap<u64, SegmentInfo>,
     readers: FxHashMap<u64, Arc<File>>,
@@ -685,7 +726,7 @@ impl SegmentLog {
             .index
             .iter()
             .filter(|(_, loc)| loc.seg == id)
-            .map(|(k, _)| *k)
+            .map(|(k, _)| k)
             .collect();
         for key in doomed {
             state.index.remove(&key);
@@ -768,7 +809,7 @@ impl SegmentLog {
             .index
             .iter()
             .filter(|(_, loc)| loc.seg == victim)
-            .map(|(k, loc)| (*k, *loc))
+            .map(|(k, loc)| (k, *loc))
             .collect();
         entries.sort_by_key(|(_, loc)| loc.off);
         if !entries.is_empty() {
@@ -827,8 +868,8 @@ impl SegmentLog {
             out.push(u8::from(info.sealed));
         }
         out.extend_from_slice(&(state.index.len() as u64).to_le_bytes());
-        for ((stage, key), loc) in &state.index {
-            out.push(*stage);
+        for ((stage, key), loc) in state.index.iter() {
+            out.push(stage);
             out.extend_from_slice(&key.to_le_bytes());
             out.extend_from_slice(&loc.seg.to_le_bytes());
             out.extend_from_slice(&loc.off.to_le_bytes());
@@ -1063,7 +1104,7 @@ impl SegmentLog {
     /// their segment's accounted range (truncated or vanished segments).
     fn settle_accounting(state: &mut LogState) {
         let segments = std::mem::take(&mut state.segments);
-        state.index.retain(|_, loc| {
+        state.index.retain(|loc| {
             segments
                 .get(&loc.seg)
                 .is_some_and(|info| loc.off + RECORD_PREFIX_LEN + u64::from(loc.len) <= info.len)

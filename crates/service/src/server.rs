@@ -1609,6 +1609,37 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_request_is_declined_and_serving_continues() {
+        // Recursing once per `[` used to overflow the reading thread's stack
+        // and abort the process; now the line is a typed `invalid request`.
+        let root = temp_root("nesting");
+        let store = open_store(&root);
+        let probe = format!(
+            "{{\"id\": 1, \"op\": \"stats\", \"x\": {}}}\n",
+            "[".repeat(1_000_000)
+        );
+        let script = probe + "{\"id\": 2, \"op\": \"stats\"}\n{\"id\": 3, \"op\": \"shutdown\"}\n";
+        let server = Server::new(store).with_workers(1);
+        let (summary, responses) = serve_script(&server, &script);
+        assert!(summary.clean_shutdown);
+        assert_eq!(summary.responses, 3);
+        let declined = &responses[0];
+        assert_eq!(declined.get("ok").and_then(Value::as_bool), Some(false));
+        let error = declined
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("error");
+        assert!(
+            error.starts_with("invalid request: nesting too deep"),
+            "{error}"
+        );
+        let stats = &responses[1];
+        assert_eq!(stats.get("id").and_then(Value::as_u64), Some(2));
+        assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn sweep_returns_the_tradeoff_curve() {
         let root = temp_root("sweep");
         let store = open_store(&root);

@@ -12,7 +12,7 @@
 //! reduce: the width of variable domains, the number of variables in the
 //! state vector and the number of transitions.
 //!
-//! The search engine ([`SearchEngine::Arena`]) keeps every live state packed
+//! The search engine keeps every live state packed
 //! in one contiguous arena — a flat `i64` value array plus a known-bits
 //! mask, pushed and popped in stack discipline with zero per-state heap
 //! allocations — evaluates pre-resolved (index-based) expressions from a
@@ -150,21 +150,6 @@ pub struct CheckResult {
     pub opt_report: OptReport,
 }
 
-/// Which explicit-state search implementation to run.
-///
-/// A single variant remains: the clone-per-state `Baseline` engine was
-/// dropped after PR 3 (ROADMAP-sanctioned once the `BENCH_*.json` trajectory
-/// existed).  The enum itself stays because the engine choice is part of the
-/// checker's `Debug`-rendered configuration, which feeds the content hashes
-/// of the persistent artifact cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SearchEngine {
-    /// Packed contiguous state arena, pre-resolved expressions, depth-aware
-    /// revisit dedup.
-    #[default]
-    Arena,
-}
-
 /// Explicit-state bounded model checker.
 #[derive(Clone)]
 pub struct ModelChecker {
@@ -176,8 +161,6 @@ pub struct ModelChecker {
     /// Maximum length of a single run (guards against loops whose bound
     /// annotation is violated for some inputs).
     pub max_depth: u64,
-    /// Search implementation.
-    pub engine: SearchEngine,
     /// Cone-of-influence slicing for multi-query batches
     /// ([`ModelChecker::check_many_shared`]): before the shared exploration
     /// runs, the batch model is sliced to the def/use cone of the queried
@@ -221,12 +204,14 @@ impl std::fmt::Debug for ModelChecker {
         // Renders exactly the configuration fields the derived impl covered
         // before the cancel token existed: the persistent artifact keys hash
         // this string, and a per-request deadline must not fragment the
-        // cache (see `tmg_core::pipeline`'s key derivation).
+        // cache (see `tmg_core::pipeline`'s key derivation).  The search
+        // engine is no longer configurable, but its former field is still
+        // written as the literal `engine: Arena` so existing keys stay valid.
         f.debug_struct("ModelChecker")
             .field("optimisations", &self.optimisations)
             .field("max_transitions", &self.max_transitions)
             .field("max_depth", &self.max_depth)
-            .field("engine", &self.engine)
+            .field("engine", &format_args!("Arena"))
             .field("slicing", &self.slicing)
             .field("dedup_after_pops", &self.dedup_after_pops)
             .finish()
@@ -256,7 +241,6 @@ impl ModelChecker {
             optimisations,
             max_transitions: 50_000_000,
             max_depth: 100_000,
-            engine: SearchEngine::default(),
             slicing: true,
             dedup_after_pops: DEDUP_AFTER_POPS_DEFAULT,
             cancel: crate::cancel::CancelToken::none(),
@@ -266,12 +250,6 @@ impl ModelChecker {
     /// Sets the transition budget.
     pub fn with_budget(mut self, max_transitions: u64) -> ModelChecker {
         self.max_transitions = max_transitions;
-        self
-    }
-
-    /// Selects the search engine.
-    pub fn with_engine(mut self, engine: SearchEngine) -> ModelChecker {
-        self.engine = engine;
         self
     }
 
@@ -310,9 +288,9 @@ impl ModelChecker {
     /// state-space exploration across all of them whenever that is provably
     /// equivalent to asking each query on its own.
     ///
-    /// The shared path requires (a) the arena engine and (b) that the
-    /// source-level optimisations produce the same function under every
-    /// query's preserve set ([`crate::opt::shared_optimisation_for_queries`]);
+    /// The shared path requires that the source-level optimisations
+    /// produce the same function under every query's preserve set
+    /// ([`crate::opt::shared_optimisation_for_queries`]);
     /// otherwise — and for the queries a budget-exhausted shared exploration
     /// leaves unresolved — the method falls back to per-query
     /// [`ModelChecker::find_test_data`].  Either way every returned
@@ -1475,11 +1453,6 @@ mod tests {
             let via_model = mc.check_model(&model, &query);
             assert_eq!(via_prepared.outcome, via_model.outcome);
         }
-    }
-
-    #[test]
-    fn arena_engine_is_the_default() {
-        assert_eq!(ModelChecker::new().engine, SearchEngine::Arena);
     }
 
     #[test]

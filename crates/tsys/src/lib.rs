@@ -70,7 +70,7 @@ pub mod prepared;
 
 pub use cancel::{catch_cancel, CancelToken, Cancelled};
 pub use checker::{
-    CheckOutcome, CheckResult, CheckStats, ModelChecker, PathQuery, SearchEngine, SharedCheckModel,
+    CheckOutcome, CheckResult, CheckStats, ModelChecker, PathQuery, SharedCheckModel,
 };
 pub use encode::{encode_function, EncodeOptions};
 pub use metrics::CheckerMetrics;
