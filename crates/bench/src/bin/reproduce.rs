@@ -182,9 +182,10 @@ fn run_serve(args: &[String]) {
         }
     };
     eprintln!(
-        "served {} requests ({} responses, {} deduplicated, {} shed [{} quota, {} cost], {} expired, {} disconnected, clean shutdown: {})",
+        "served {} requests ({} responses, {} resident, {} deduplicated, {} shed [{} quota, {} cost], {} expired, {} disconnected, clean shutdown: {})",
         summary.requests,
         summary.responses,
+        summary.resident,
         summary.deduplicated,
         summary.shed,
         summary.quota_shed,

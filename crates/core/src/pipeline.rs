@@ -42,12 +42,13 @@
 //! primitives they are built from are public precisely so other tiers can
 //! interpose between the cache probe and the computation.
 //!
-//! The in-memory tier is bounded: each stage map holds at most
-//! [`ArtifactStore::capacity`] entries and evicts least-recently-used
-//! artifacts beyond that, so a long-running daemon does not grow without
-//! limit.  Eviction is pure cache policy — an evicted artifact is recomputed
-//! (or re-read from a lower tier) on the next request, never lost
-//! semantically.
+//! The in-memory tier is bounded: the bound map holds at most
+//! [`ArtifactStore::capacity`] entries, the intermediate maps (lower through
+//! measure, and call graphs) at most [`INTERMEDIATE_CAPACITY`], and each evicts
+//! least-recently-used artifacts beyond that, so a long-running daemon does
+//! not grow without limit.  Eviction is pure cache policy — an evicted
+//! artifact is recomputed (or re-read from a lower tier) on the next request,
+//! never lost semantically.
 
 use crate::analysis::{AnalysisError, AnalysisReport, WcetAnalysis};
 use crate::measurement::{exhaustive_end_to_end, MeasurementCampaign, MeasurementError};
@@ -375,10 +376,21 @@ pub trait TieredStore: fmt::Debug + Send + Sync {
     fn put_bound(&self, key: u64, report: AnalysisReport) -> Arc<BoundArtifact>;
 }
 
-/// Default entry cap per stage map of the in-memory tier: generous enough
+/// Default entry cap of the bound map of the in-memory tier: generous enough
 /// that the paper-reproduction workloads never evict, small enough that a
 /// daemon analysing an unbounded stream of distinct functions stays bounded.
 pub const DEFAULT_STAGE_CAPACITY: usize = 1024;
+
+/// Entry cap of each intermediate map (lower, partition, prepare-model,
+/// testgen, measure, and the module call graphs), whatever the store's
+/// capacity: the working set of functions in flight plus a recent
+/// same-function sweep.  Once a function's bound exists nothing reads its
+/// intermediates again except a re-analysis at another path bound or cost
+/// model, yet they weigh about 108 KB per function against a few hundred
+/// bytes for the bound, and a call graph is stale after any edit of its
+/// module, so keeping them for every analysis only holds memory.  A fixed
+/// policy, like the persisted-stage set of the disk tier, not a knob.
+pub const INTERMEDIATE_CAPACITY: usize = 16;
 
 /// One LRU-managed stage map: artifacts keyed by content hash, each entry
 /// carrying the logical timestamp of its last touch.  Eviction scans for the
@@ -450,8 +462,10 @@ impl<T> LruMap<T> {
 /// with all workers sharing one store.  Lookups and insertions take a
 /// per-stage mutex; stage computations run outside any lock (two racing
 /// workers may both compute the same artifact — the results are identical by
-/// construction, and one insertion wins).  Each stage map is bounded by
-/// [`ArtifactStore::capacity`] entries with least-recently-used eviction.
+/// construction, and one insertion wins).  The bound map is bounded by
+/// [`ArtifactStore::capacity`] entries and the intermediate maps by
+/// [`INTERMEDIATE_CAPACITY`] (or the capacity, if smaller), each with
+/// least-recently-used eviction.
 pub struct ArtifactStore {
     lowered: Mutex<LruMap<LoweredArtifact>>,
     partitions: Mutex<LruMap<PartitionArtifact>>,
@@ -486,7 +500,7 @@ impl fmt::Debug for ArtifactStore {
 }
 
 macro_rules! stage_accessors {
-    ($lookup:ident, $insert:ident, $field:ident, $stage:expr, $artifact:ty) => {
+    ($lookup:ident, $insert:ident, $field:ident, $stage:expr, $artifact:ty, $cap:ident) => {
         /// Probes the stage map; records a hit or miss.
         pub fn $lookup(&self, key: u64) -> Option<Arc<$artifact>> {
             let found = self.$field.lock().expect("store lock").get(key);
@@ -501,7 +515,7 @@ macro_rules! stage_accessors {
                 self.$field
                     .lock()
                     .expect("store lock")
-                    .insert(key, artifact, self.capacity);
+                    .insert(key, artifact, self.$cap());
             if evicted > 0 {
                 self.evictions[$stage.index()].fetch_add(evicted, Ordering::Relaxed);
             }
@@ -516,8 +530,9 @@ impl ArtifactStore {
         ArtifactStore::with_capacity(DEFAULT_STAGE_CAPACITY)
     }
 
-    /// An empty store holding at most `capacity` entries per stage map
-    /// (minimum 1), evicting least-recently-used artifacts beyond that.
+    /// An empty store holding at most `capacity` bounds (minimum 1) and at
+    /// most `capacity.min(INTERMEDIATE_CAPACITY)` entries per intermediate
+    /// map, evicting least-recently-used artifacts beyond that.
     pub fn with_capacity(capacity: usize) -> ArtifactStore {
         ArtifactStore {
             lowered: Mutex::default(),
@@ -537,9 +552,14 @@ impl ArtifactStore {
         }
     }
 
-    /// The per-stage entry cap.
+    /// The entry cap of the bound map.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The entry cap of each intermediate map.
+    fn intermediate_capacity(&self) -> usize {
+        self.capacity.min(INTERMEDIATE_CAPACITY)
     }
 
     /// Hit/miss/eviction counters of one stage.
@@ -603,7 +623,7 @@ impl ArtifactStore {
         let (resident, evicted) = self.callgraphs.lock().expect("store lock").insert(
             key,
             CallGraphArtifact { key, graph, order },
-            self.capacity,
+            self.intermediate_capacity(),
         );
         if evicted > 0 {
             self.callgraph_evictions
@@ -622,42 +642,48 @@ impl ArtifactStore {
         insert_lowered,
         lowered,
         Stage::Lower,
-        LoweredArtifact
+        LoweredArtifact,
+        intermediate_capacity
     );
     stage_accessors!(
         lookup_partition,
         insert_partition,
         partitions,
         Stage::Partition,
-        PartitionArtifact
+        PartitionArtifact,
+        intermediate_capacity
     );
     stage_accessors!(
         lookup_prepared_model,
         insert_prepared_model,
         models,
         Stage::PrepareModel,
-        PreparedModelArtifact
+        PreparedModelArtifact,
+        intermediate_capacity
     );
     stage_accessors!(
         lookup_suite,
         insert_suite,
         suites,
         Stage::Testgen,
-        SuiteArtifact
+        SuiteArtifact,
+        intermediate_capacity
     );
     stage_accessors!(
         lookup_campaign,
         insert_campaign,
         campaigns,
         Stage::Measure,
-        CampaignArtifact
+        CampaignArtifact,
+        intermediate_capacity
     );
     stage_accessors!(
         lookup_bound,
         insert_bound,
         bounds,
         Stage::Bound,
-        BoundArtifact
+        BoundArtifact,
+        capacity
     );
 
     /// The lowering stage: CFG + region tree + path counts + decision-set.
@@ -804,15 +830,65 @@ impl BoundKeys {
         cost_model: &CostModel,
         input_space: Option<&[InputVector]>,
     ) -> u64 {
-        combine_hashes(&[
+        compose_bound_key(
             function_key,
-            (self.path_bound >> 64) as u64,
-            self.path_bound as u64,
+            self.path_bound,
             self.generator,
             stable_hash_debug(cost_model),
             input_space_hash(input_space),
-        ])
+        )
     }
+}
+
+/// The configuration half of [`bound_key`] for an analysis without an input
+/// space — path bound, generator and cost model — hashed once, for a
+/// long-lived caller that keys many functions under few configurations (the
+/// analysis service keeps one per path bound).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigHash {
+    path_bound: u128,
+    generator: u64,
+    cost_model: u64,
+}
+
+impl ConfigHash {
+    /// Hashes the configuration of `analysis`.
+    pub fn new(analysis: &WcetAnalysis) -> ConfigHash {
+        ConfigHash {
+            path_bound: analysis.path_bound,
+            generator: stable_hash_debug(&analysis.generator),
+            cost_model: stable_hash_debug(&analysis.cost_model),
+        }
+    }
+
+    /// `bound_key(analysis, function_key, None)` for the hashed analysis.
+    pub fn bound_key(&self, function_key: u64) -> u64 {
+        compose_bound_key(
+            function_key,
+            self.path_bound,
+            self.generator,
+            self.cost_model,
+            input_space_hash(None),
+        )
+    }
+}
+
+/// The one layout of a bound key over its hashed parts.
+fn compose_bound_key(
+    function_key: u64,
+    path_bound: u128,
+    generator: u64,
+    cost_model: u64,
+    input_space: u64,
+) -> u64 {
+    combine_hashes(&[
+        function_key,
+        (path_bound >> 64) as u64,
+        path_bound as u64,
+        generator,
+        cost_model,
+        input_space,
+    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -1097,6 +1173,27 @@ mod tests {
             "void f(char a __range(0, 3)) { if (a > 1) { x(); } else { y(); } if (a == 0) { z(); } }",
         )
         .expect("parse")
+    }
+
+    #[test]
+    fn a_config_hash_keys_exactly_like_bound_key() {
+        let fingerprint = function_fingerprint(&small_function());
+        for path_bound in [1, 4, u128::MAX] {
+            let analysis = WcetAnalysis::new(path_bound);
+            let hash = ConfigHash::new(&analysis);
+            assert_eq!(
+                hash.bound_key(fingerprint),
+                bound_key(&analysis, fingerprint, None)
+            );
+            // A deadline is not part of the configuration.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+            let cancellable = analysis.with_cancel(tmg_tsys::CancelToken::with_deadline(deadline));
+            assert_eq!(ConfigHash::new(&cancellable), hash);
+        }
+        assert_ne!(
+            ConfigHash::new(&WcetAnalysis::new(1)),
+            ConfigHash::new(&WcetAnalysis::new(2))
+        );
     }
 
     #[test]

@@ -5,6 +5,14 @@ use crate::error::{Error, Result};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::types::Ty;
 
+/// Deepest nesting the parser accepts, counting every enclosing statement
+/// body, parenthesis, unary operator and binary operator of the syntax tree
+/// being built.  Deeper input is a parse error, so neither the parser's own
+/// recursion nor any recursive walk of the tree it returns (printer, sema,
+/// CFG builder, encoder, interpreter, drop) can exhaust a thread's stack on
+/// hostile source.  Real code nests a few dozen levels at most.
+pub const MAX_NESTING: usize = 256;
+
 /// Recursive-descent parser over the token stream produced by
 /// [`crate::lexer::lex`].
 ///
@@ -13,12 +21,39 @@ use crate::types::Ty;
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
     /// Creates a parser over `tokens` (which must end in [`TokenKind::Eof`]).
     pub fn new(tokens: Vec<Token>) -> Parser {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enters one more level of nesting, failing past [`MAX_NESTING`].  The
+    /// caller leaves it again by decrementing `self.depth`.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::Parse(format!(
+                "nesting deeper than {MAX_NESTING} levels on line {}",
+                self.peek_line()
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &TokenKind {
@@ -261,6 +296,10 @@ impl Parser {
     /// statement list, which is why this pushes into `out` instead of
     /// returning a single statement.
     fn parse_stmt_into(&mut self, out: &mut Vec<Stmt>) -> Result<()> {
+        self.nested(|parser| parser.parse_stmt_at_depth(out))
+    }
+
+    fn parse_stmt_at_depth(&mut self, out: &mut Vec<Stmt>) -> Result<()> {
         let line = self.peek_line();
         match self.peek().clone() {
             TokenKind::Punct(Punct::LBrace) => {
@@ -384,7 +423,7 @@ impl Parser {
         let else_branch = if self.eat_keyword(Keyword::Else) {
             if self.peek() == &TokenKind::Keyword(Keyword::If) {
                 let nested_line = self.peek_line();
-                let nested = self.parse_if(nested_line)?;
+                let nested = self.nested(|parser| parser.parse_if(nested_line))?;
                 Some(Block::from_stmts(vec![nested]))
             } else {
                 Some(self.parse_branch_body()?)
@@ -561,19 +600,31 @@ impl Parser {
         self.parse_binary(0)
     }
 
+    /// Folds a left-associative chain.  Each folded operator deepens the
+    /// tree by one level, so the chain counts against [`MAX_NESTING`] like
+    /// nesting does even though it does not recurse here.
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr> {
         let mut lhs = self.parse_unary()?;
-        loop {
+        let mut folded = 0;
+        let out = loop {
             let Some((op, prec)) = self.peek_binop() else {
-                return Ok(lhs);
+                break Ok(lhs);
             };
             if prec < min_prec {
-                return Ok(lhs);
+                break Ok(lhs);
             }
             self.bump();
-            let rhs = self.parse_binary(prec + 1)?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
+            if let Err(e) = self.descend() {
+                break Err(e);
+            }
+            folded += 1;
+            match self.parse_binary(prec + 1) {
+                Ok(rhs) => lhs = Expr::binary(op, lhs, rhs),
+                Err(e) => break Err(e),
+            }
+        };
+        self.depth -= folded;
+        out
     }
 
     fn peek_binop(&self) -> Option<(BinOp, u8)> {
@@ -608,11 +659,13 @@ impl Parser {
         match self.peek() {
             TokenKind::Punct(Punct::Minus) => {
                 self.bump();
-                Ok(Expr::unary(UnOp::Neg, self.parse_unary()?))
+                let operand = self.nested(Parser::parse_unary)?;
+                Ok(Expr::unary(UnOp::Neg, operand))
             }
             TokenKind::Punct(Punct::Not) => {
                 self.bump();
-                Ok(Expr::unary(UnOp::Not, self.parse_unary()?))
+                let operand = self.nested(Parser::parse_unary)?;
+                Ok(Expr::unary(UnOp::Not, operand))
             }
             _ => self.parse_primary(),
         }
@@ -624,7 +677,7 @@ impl Parser {
             TokenKind::Int(v) => Ok(Expr::Int(v)),
             TokenKind::Ident(name) => Ok(Expr::Var(name)),
             TokenKind::Punct(Punct::LParen) => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Parser::parse_expr)?;
                 self.expect_punct(Punct::RParen)?;
                 Ok(e)
             }
@@ -817,6 +870,65 @@ mod tests {
     fn reports_unexpected_token() {
         let err = parse_err("void f() { + }");
         assert!(err.to_string().contains("statement"));
+    }
+
+    /// `return` of `a` inside `depth` parentheses: the statement is one
+    /// level, each parenthesis one more.
+    fn parenthesised(depth: usize) -> String {
+        format!(
+            "int f(int a) {{ return {}a{}; }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let p = parse(&parenthesised(MAX_NESTING - 1));
+        assert!(matches!(
+            &p.functions[0].body.stmts[0],
+            Stmt::Return { value: Some(Expr::Var(name)), .. } if name == "a"
+        ));
+        let nested_ifs = format!(
+            "void f(int a) {{ {}g();{} }}",
+            "if (a) { ".repeat(MAX_NESTING - 1),
+            " }".repeat(MAX_NESTING - 1)
+        );
+        parse(&nested_ifs);
+        let chain = format!(
+            "int f(int a) {{ return a{}; }}",
+            " + a".repeat(MAX_NESTING - 1)
+        );
+        parse(&chain);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        let deeper = [
+            parenthesised(MAX_NESTING),
+            format!("int f(int a) {{ return {}a; }}", "- ".repeat(MAX_NESTING)),
+            format!("int f(int a) {{ return a{}; }}", " + a".repeat(MAX_NESTING)),
+            format!(
+                "void f(int a) {{ {}g();{} }}",
+                "{ ".repeat(MAX_NESTING),
+                " }".repeat(MAX_NESTING)
+            ),
+            format!(
+                "void f(int a) {{ if (a) {{ g(); }}{} }}",
+                " else if (a) { g(); }".repeat(MAX_NESTING)
+            ),
+            // Far past any thread's stack if the parser recursed unchecked.
+            parenthesised(50_000),
+        ];
+        for source in &deeper {
+            match parse_err(source) {
+                Error::Parse(message) => assert!(
+                    message.starts_with(&format!("nesting deeper than {MAX_NESTING} levels")),
+                    "{message}"
+                ),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

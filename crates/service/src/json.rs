@@ -9,8 +9,14 @@
 //! booleans, null — and rejects everything else with a position-tagged
 //! error, which the server maps to an `ok:false` response.  Nesting is capped
 //! at `MAX_DEPTH` so that hostile input cannot overflow the parser's stack.
+//!
+//! The server reads request lines through [`parse_members`]: the same
+//! grammar, positions and errors as [`parse`], in one pass, but the
+//! top-level members come back in a flat list and strings without escapes
+//! borrow from the line instead of being copied.
 
 use rustc_hash::FxHashMap;
+use std::borrow::Cow;
 
 /// Deepest array/object nesting [`parse`] accepts; deeper input is a
 /// "nesting too deep" error.  Protocol requests nest at most 3 deep, and the
@@ -112,9 +118,13 @@ impl std::error::Error for ParseError {}
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
+    let value = parse_value(input, &mut pos, 0)?;
+    end_of_input(input.as_bytes(), pos)?;
+    Ok(value)
+}
+
+fn end_of_input(bytes: &[u8], mut pos: usize) -> Result<(), ParseError> {
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(ParseError {
@@ -122,7 +132,83 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
             message: "trailing characters",
         });
     }
-    Ok(value)
+    Ok(())
+}
+
+/// A top-level member of an object parsed by [`parse_members`]: a string,
+/// borrowed from the input unless it had escapes, or any other value.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Member<'a> {
+    Str(Cow<'a, str>),
+    Other(Value),
+}
+
+impl<'a> Member<'a> {
+    /// The string, owned only if it is not already.
+    pub(crate) fn into_str(self) -> Option<Cow<'a, str>> {
+        match self {
+            Member::Str(s) => Some(s),
+            Member::Other(_) => None,
+        }
+    }
+
+    pub(crate) fn as_u128(&self) -> Option<u128> {
+        match self {
+            Member::Other(v) => v.as_u128(),
+            Member::Str(_) => None,
+        }
+    }
+
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        match self {
+            Member::Other(v) => v.as_u64(),
+            Member::Str(_) => None,
+        }
+    }
+}
+
+/// The top-level members of an object, as [`parse_members`] returns them.
+#[derive(Debug, Default)]
+pub(crate) struct Members<'a>(Vec<(Cow<'a, str>, Member<'a>)>);
+
+impl<'a> Members<'a> {
+    /// The member named `key`; the last one when the key repeats, as in
+    /// [`Value::get`].
+    pub(crate) fn get(&self, key: &str) -> Option<&Member<'a>> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Moves the member named `key` out (the last one when it repeats).
+    pub(crate) fn take(&mut self, key: &str) -> Option<Member<'a>> {
+        let at = self.0.iter().rposition(|(k, _)| k == key)?;
+        Some(self.0.swap_remove(at).1)
+    }
+}
+
+/// Parses one complete JSON value like [`parse`], with the same errors at
+/// the same positions, returning the members of a top-level object (none
+/// for any other value).  Strings borrow from `input` unless they contain
+/// escapes.
+pub(crate) fn parse_members(input: &str) -> Result<Members<'_>, ParseError> {
+    let bytes = input.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        parse(input)?;
+        return Ok(Members::default());
+    }
+    let mut members = Vec::new();
+    parse_object_with(input, &mut pos, |key, pos| {
+        let member = if bytes.get(*pos) == Some(&b'"') {
+            Member::Str(parse_string(input, pos)?)
+        } else {
+            Member::Other(parse_value(input, pos, 1)?)
+        };
+        members.push((key, member));
+        Ok(())
+    })?;
+    end_of_input(bytes, pos)?;
+    Ok(Members(members))
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -141,7 +227,8 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8, message: &'static str) -> Result
 }
 
 /// Parses the value at `pos`, which sits inside `depth` arrays or objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     let Some(&c) = bytes.get(*pos) else {
         return Err(ParseError {
@@ -156,9 +243,17 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Par
         });
     }
     match c {
-        b'{' => parse_object(bytes, pos, depth + 1),
-        b'[' => parse_array(bytes, pos, depth + 1),
-        b'"' => Ok(Value::Str(parse_string(bytes, pos)?)),
+        b'{' => {
+            let mut map = FxHashMap::default();
+            parse_object_with(input, pos, |key, pos| {
+                let value = parse_value(input, pos, depth + 1)?;
+                map.insert(key.into_owned(), value);
+                Ok(())
+            })?;
+            Ok(Value::Object(map))
+        }
+        b'[' => parse_array(input, pos, depth + 1),
+        b'"' => Ok(Value::Str(parse_string(input, pos)?.into_owned())),
         b't' | b'f' | b'n' => parse_keyword(bytes, pos),
         b'-' | b'0'..=b'9' => parse_number(bytes, pos),
         _ => Err(ParseError {
@@ -185,27 +280,34 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     })
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+/// Parses the object at `pos`, handing each key to `member` with `pos` at
+/// its value (after the `:` and any whitespace); `member` parses the value
+/// at the object's depth.
+fn parse_object_with<'a>(
+    input: &'a str,
+    pos: &mut usize,
+    mut member: impl FnMut(Cow<'a, str>, &mut usize) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'{', "expected '{'")?;
-    let mut map = FxHashMap::default();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Value::Object(map));
+        return Ok(());
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':', "expected ':'")?;
-        let value = parse_value(bytes, pos, depth)?;
-        map.insert(key, value);
+        skip_ws(bytes, pos);
+        member(key, pos)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Value::Object(map));
+                return Ok(());
             }
             _ => {
                 return Err(ParseError {
@@ -217,7 +319,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Pa
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'[', "expected '['")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -226,7 +329,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Par
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(input, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -244,9 +347,14 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Par
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+/// Parses the string at `pos`, borrowing it from `input` unless it has
+/// escapes.  Runs between escapes are copied whole.
+fn parse_string<'a>(input: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, ParseError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"', "expected string")?;
-    let mut out = String::new();
+    let mut out: Option<String> = None;
+    // Start of the run of plain characters not yet copied into `out`.
+    let mut run = *pos;
     loop {
         let Some(&c) = bytes.get(*pos) else {
             return Err(ParseError {
@@ -254,10 +362,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 message: "unterminated string",
             });
         };
-        *pos += 1;
         match c {
-            b'"' => return Ok(out),
+            b'"' => {
+                let tail = &input[run..*pos];
+                *pos += 1;
+                return Ok(match out {
+                    None => Cow::Borrowed(tail),
+                    Some(mut out) => {
+                        out.push_str(tail);
+                        Cow::Owned(out)
+                    }
+                });
+            }
             b'\\' => {
+                let out = out.get_or_insert_with(String::new);
+                out.push_str(&input[run..*pos]);
+                *pos += 1;
                 let Some(&esc) = bytes.get(*pos) else {
                     return Err(ParseError {
                         at: *pos,
@@ -299,21 +419,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                         })
                     }
                 }
+                run = *pos;
             }
-            _ => {
-                // Re-validate multi-byte sequences through the source str.
-                let start = *pos - 1;
-                let mut end = *pos;
-                while end < bytes.len() && bytes[end] & 0xC0 == 0x80 {
-                    end += 1;
-                }
-                let chunk = std::str::from_utf8(&bytes[start..end]).map_err(|_| ParseError {
-                    at: start,
-                    message: "invalid utf-8 in string",
-                })?;
-                out.push_str(chunk);
-                *pos = end;
-            }
+            // `input` is a `str`, so every other byte belongs to a valid
+            // character and is copied with its run.
+            _ => *pos += 1,
         }
     }
 }
@@ -433,6 +543,71 @@ mod tests {
             parse(&objects).expect_err("objects too").message,
             "nesting too deep"
         );
+    }
+
+    #[test]
+    fn members_match_the_value_parser_on_values_and_errors() {
+        let deep = format!("{{\"x\": {}}}", "[".repeat(MAX_DEPTH + 5));
+        let inputs = [
+            r#"{"id": 3, "op": "analyse", "source": "void f() { }", "path_bound": 4}"#,
+            r#" { "s" : "a\"b\\c\ndA\u00e9ü" , "n": -2.5e3, "t": true, "z": null } "#,
+            r#"{"nested": {"a": [1, {"b": "c"}]}, "a": 1, "a": 2}"#,
+            r#"{}"#,
+            r#"[1, 2]"#,
+            r#""top""#,
+            "",
+            "{",
+            r#"{"a": }"#,
+            r#"{"a" 1}"#,
+            r#"{"a": 1,}"#,
+            r#"{"a": "unterminated"#,
+            r#"{"a": "bad \q escape"}"#,
+            r#"{"a": "\u12"}"#,
+            r#"{"a": "\u+041"}"#,
+            r#"{"a": 1} trailing"#,
+            r#"{1: 2}"#,
+            &deep,
+        ];
+        for input in inputs {
+            let value = parse(input);
+            let members = parse_members(input);
+            match (&value, &members) {
+                (Ok(value), Ok(members)) => {
+                    let keys: Vec<&str> = match value {
+                        Value::Object(map) => map.keys().map(String::as_str).collect(),
+                        _ => Vec::new(),
+                    };
+                    for key in keys {
+                        let member = members.get(key).expect("same keys");
+                        let expected = value.get(key).expect("key");
+                        match member {
+                            Member::Str(s) => assert_eq!(expected.as_str(), Some(&**s)),
+                            Member::Other(v) => assert_eq!(v, expected),
+                        }
+                    }
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{input}"),
+                _ => panic!("{input}: {value:?} vs {members:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn member_strings_borrow_unless_escaped_and_the_last_key_wins() {
+        let mut members =
+            parse_members(r#"{"plain": "void f() { }", "escaped": "a\nb", "k": 1, "k": 2}"#)
+                .expect("parse");
+        assert!(matches!(
+            members.get("plain"),
+            Some(Member::Str(Cow::Borrowed(_)))
+        ));
+        assert!(matches!(members.get("escaped"), Some(Member::Str(Cow::Owned(s))) if s == "a\nb"));
+        assert_eq!(members.get("k").and_then(Member::as_u64), Some(2));
+        assert_eq!(
+            members.take("plain").and_then(Member::into_str).as_deref(),
+            Some("void f() { }")
+        );
+        assert!(members.get("plain").is_none());
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub mod codec;
 pub mod fault;
 pub mod json;
 pub mod latency;
+mod memo;
 pub mod segment;
 pub mod server;
 pub mod store;
@@ -30,7 +31,7 @@ pub mod tcp;
 pub use fault::{FaultKind, FaultPlan, STALL_MS};
 pub use latency::{Histogram, LatencySet};
 pub use segment::{SegmentStats, DEFAULT_GROUP_COMMIT_WINDOW_MS, DEFAULT_SEGMENT_BYTES};
-pub use server::{ServeSummary, Server, DEFAULT_QUEUE_CAPACITY, PROTOCOL};
+pub use server::{ServeSummary, Server, DEFAULT_QUEUE_CAPACITY, MAX_REQUEST_BYTES, PROTOCOL};
 pub use store::{
     DiskStageStats, PersistentStore, PersistentStoreConfig, RecoveryReport, TierStats,
     DEFAULT_DISK_BUDGET,

@@ -98,6 +98,24 @@ struct Loc {
     len: u32,
 }
 
+/// A writer that hashes every byte it passes on, for the snapshot digest.
+struct DigestWriter<'a, W> {
+    inner: &'a mut W,
+    hasher: StableHasher,
+}
+
+impl<W: io::Write> io::Write for DigestWriter<'_, W> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        let written = self.inner.write(bytes)?;
+        std::hash::Hasher::write(&mut self.hasher, &bytes[..written]);
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// The live-frame index, `(stage, key) → Loc`, kept as one map per stage.
 /// A bare `u64` key makes every entry 8 bytes smaller than a `(u8, u64)`
 /// tuple key, and the stage maps grow (and rehash) one at a time: the index
@@ -856,30 +874,34 @@ impl SegmentLog {
 
     // -- index snapshot ----------------------------------------------------
 
-    fn serialize_index(state: &LogState) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&INDEX_MAGIC);
-        out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(state.segments.len() as u32).to_le_bytes());
+    /// Writes the index snapshot to `out`, digest last.  It is streamed,
+    /// never built in memory whole: the snapshot grows with every persisted
+    /// frame, and a buffer of it would be the largest allocation of a
+    /// long-running writer.
+    fn write_index(state: &LogState, out: &mut impl io::Write) -> io::Result<()> {
+        let mut out = DigestWriter {
+            inner: out,
+            hasher: StableHasher::new(),
+        };
+        out.write_all(&INDEX_MAGIC)?;
+        out.write_all(&SEGMENT_VERSION.to_le_bytes())?;
+        out.write_all(&0u16.to_le_bytes())?;
+        out.write_all(&(state.segments.len() as u32).to_le_bytes())?;
         for (id, info) in &state.segments {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&info.len.to_le_bytes());
-            out.push(u8::from(info.sealed));
+            out.write_all(&id.to_le_bytes())?;
+            out.write_all(&info.len.to_le_bytes())?;
+            out.write_all(&[u8::from(info.sealed)])?;
         }
-        out.extend_from_slice(&(state.index.len() as u64).to_le_bytes());
+        out.write_all(&(state.index.len() as u64).to_le_bytes())?;
         for ((stage, key), loc) in state.index.iter() {
-            out.push(stage);
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&loc.seg.to_le_bytes());
-            out.extend_from_slice(&loc.off.to_le_bytes());
-            out.extend_from_slice(&loc.len.to_le_bytes());
+            out.write_all(&[stage])?;
+            out.write_all(&key.to_le_bytes())?;
+            out.write_all(&loc.seg.to_le_bytes())?;
+            out.write_all(&loc.off.to_le_bytes())?;
+            out.write_all(&loc.len.to_le_bytes())?;
         }
-        let mut hasher = StableHasher::new();
-        std::hash::Hasher::write(&mut hasher, &out);
-        let digest = std::hash::Hasher::finish(&hasher);
-        out.extend_from_slice(&digest.to_le_bytes());
-        out
+        let digest = std::hash::Hasher::finish(&out.hasher);
+        out.inner.write_all(&digest.to_le_bytes())
     }
 
     /// Parses an index snapshot; `None` means torn/foreign/corrupt, which
@@ -941,12 +963,13 @@ impl SegmentLog {
     /// is safe because the snapshot is only an accelerator — watermarks make
     /// a stale snapshot recoverable by tail scan.
     fn publish_index_locked(&self, state: &LogState) {
-        let bytes = Self::serialize_index(state);
         let final_path = self.root.join(INDEX_FILE);
         if self.faults.take(FaultKind::TornWrite) {
             // The legacy non-atomic write dying mid-file: half a snapshot
             // lands on the final path.  The digest check rejects it and the
             // next open rebuilds by scanning.
+            let mut bytes = Vec::new();
+            Self::write_index(state, &mut bytes).expect("writing to a Vec cannot fail");
             let _ = fs::write(&final_path, fault::damage(FaultKind::TornWrite, &bytes));
             return;
         }
@@ -956,9 +979,11 @@ impl SegmentLog {
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
         let write = |dest: &Path| -> io::Result<()> {
-            let mut file = File::create(dest)?;
-            file.write_all(&bytes)?;
-            file.sync_all()
+            let mut file = io::BufWriter::new(File::create(dest)?);
+            Self::write_index(state, &mut file)?;
+            file.into_inner()
+                .map_err(io::IntoInnerError::into_error)?
+                .sync_all()
         };
         if write(&tmp).is_err() {
             let _ = fs::remove_file(&tmp);

@@ -83,10 +83,12 @@
 //! this scheduler.  Responses are byte-identical whichever transport or
 //! worker count delivers them.
 
-use crate::json::{self, Value};
+use crate::json::{self, Member};
 use crate::latency::LatencySet;
+use crate::memo::ResidentKeys;
 use crate::store::PersistentStore;
 use rustc_hash::FxHashMap;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -104,6 +106,124 @@ pub const PROTOCOL: &str = "tmg-service/v1";
 /// Queue slots before the scheduler sheds (see
 /// [`Server::with_queue_capacity`]).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
+
+/// Longest request line either transport reads: the bytes before the line
+/// break.  A longer line is read to its end and dropped, its memory is
+/// never held, and it is answered with a typed `fault` error while the
+/// session keeps serving.  A fixed limit, far above any module the analysis
+/// answers in reasonable time.
+pub const MAX_REQUEST_BYTES: usize = 8 << 20;
+
+/// A line buffer grown past this by one long request is released instead
+/// of being kept for the rest of the connection.
+const RETAINED_LINE_BYTES: usize = 64 << 10;
+
+/// Why a line a transport read cannot be a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LineError {
+    TooLong,
+    NotUtf8,
+}
+
+impl std::fmt::Display for LineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LineError::TooLong => write!(f, "request line longer than {MAX_REQUEST_BYTES} bytes"),
+            LineError::NotUtf8 => write!(f, "request line is not valid UTF-8"),
+        }
+    }
+}
+
+/// Reads request lines for a transport in bounded memory (see
+/// [`MAX_REQUEST_BYTES`]).  Lines end at `\n` (a `\r` before it is
+/// dropped too) or at the end of input, and blank lines are skipped, as
+/// `BufRead::lines` does.
+pub(crate) struct LineReader<R> {
+    reader: R,
+    line: Vec<u8>,
+}
+
+impl<R: BufRead> LineReader<R> {
+    pub(crate) fn new(reader: R) -> LineReader<R> {
+        LineReader {
+            reader,
+            line: Vec::new(),
+        }
+    }
+
+    /// The next non-blank line as text, or why it cannot be a request;
+    /// `None` at the end of input.
+    pub(crate) fn next_line(&mut self) -> io::Result<Option<Result<&str, LineError>>> {
+        loop {
+            match self.read_line()? {
+                None => return Ok(None),
+                Some(false) => return Ok(Some(Err(LineError::TooLong))),
+                Some(true) if is_blank(&self.line) => {}
+                Some(true) => break,
+            }
+        }
+        Ok(Some(
+            std::str::from_utf8(&self.line).map_err(|_| LineError::NotUtf8),
+        ))
+    }
+
+    /// Reads the next line into `self.line` without its line break,
+    /// dropping it past [`MAX_REQUEST_BYTES`].  `Some(false)` for an
+    /// over-long line, `None` at the end of input.
+    fn read_line(&mut self) -> io::Result<Option<bool>> {
+        if self.line.capacity() > RETAINED_LINE_BYTES {
+            self.line = Vec::new();
+        }
+        self.line.clear();
+        let mut read_any = false;
+        let mut too_long = false;
+        let line_break = loop {
+            let available = match self.reader.fill_buf() {
+                Ok(available) => available,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                if !read_any {
+                    return Ok(None);
+                }
+                break false;
+            }
+            read_any = true;
+            let (chunk, used, line_break) = match available.iter().position(|&b| b == b'\n') {
+                Some(at) => (&available[..at], at + 1, true),
+                None => (available, available.len(), false),
+            };
+            // One byte of slack holds the `\r` of a `\r\n` break.
+            if !too_long {
+                if self.line.len() + chunk.len() > MAX_REQUEST_BYTES + 1 {
+                    too_long = true;
+                    self.line = Vec::new();
+                } else {
+                    self.line.extend_from_slice(chunk);
+                }
+            }
+            self.reader.consume(used);
+            if line_break {
+                break true;
+            }
+        };
+        if line_break && self.line.last() == Some(&b'\r') {
+            self.line.pop();
+        }
+        Ok(Some(!too_long && self.line.len() <= MAX_REQUEST_BYTES))
+    }
+}
+
+/// Whether a line is empty or whitespace only (`str::trim` semantics).
+fn is_blank(line: &[u8]) -> bool {
+    match line.iter().find(|b| !b.is_ascii_whitespace()) {
+        None => true,
+        // Printable ASCII is never whitespace: the common, cheap answer.
+        Some(&b) if b > b' ' && b.is_ascii() => false,
+        Some(_) => std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty()),
+    }
+}
 
 /// What one serve session did (used by the CI smokes and the loadtest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,6 +248,10 @@ pub struct ServeSummary {
     /// Responses dropped because the requesting connection had closed
     /// before (or while) the response was written.
     pub disconnected: u64,
+    /// `analyse` requests answered on the transport thread from bounds in
+    /// the segment log (the resident-answer fast path), without a parse or
+    /// a scheduler hand-off.
+    pub resident: u64,
     /// Whether the session drained in-flight work and flushed the disk
     /// tier before ending (true for both `shutdown` and EOF).
     pub flushed: bool,
@@ -151,30 +275,34 @@ pub struct Server {
     /// Wire-level fault shots consumed by the TCP transport on response
     /// writes (see [`crate::fault::FaultKind::WIRE`]).  Inert by default.
     wire_faults: crate::fault::FaultPlan,
+    /// Source → function keys memo and per-path-bound configuration hashes
+    /// of the resident-answer fast path.
+    resident: ResidentKeys,
 }
 
-/// A parsed, schedulable request.
+/// A parsed, schedulable request.  Parsing borrows the strings from the
+/// request line (`S = Cow<str>`); a job handed to the scheduler owns them.
 #[derive(Debug, Clone)]
-pub(crate) enum Job {
+pub(crate) enum Job<S = String> {
     Analyse {
         id: u64,
-        source: String,
+        source: S,
         path_bound: u128,
-        function: Option<String>,
+        function: Option<S>,
     },
     AnalyseModule {
         id: u64,
-        source: String,
+        source: S,
         path_bound: u128,
     },
     Sweep {
         id: u64,
-        source: String,
+        source: S,
         max_bound: u128,
     },
 }
 
-impl Job {
+impl<S> Job<S> {
     fn id(&self) -> u64 {
         match self {
             Job::Analyse { id, .. } | Job::AnalyseModule { id, .. } | Job::Sweep { id, .. } => *id,
@@ -188,7 +316,46 @@ impl Job {
             Job::Sweep { .. } => "sweep",
         }
     }
+}
 
+impl Job<Cow<'_, str>> {
+    /// The job with its strings owned, for the scheduler.
+    fn into_owned(self) -> Job {
+        match self {
+            Job::Analyse {
+                id,
+                source,
+                path_bound,
+                function,
+            } => Job::Analyse {
+                id,
+                source: source.into_owned(),
+                path_bound,
+                function: function.map(Cow::into_owned),
+            },
+            Job::AnalyseModule {
+                id,
+                source,
+                path_bound,
+            } => Job::AnalyseModule {
+                id,
+                source: source.into_owned(),
+                path_bound,
+            },
+            Job::Sweep {
+                id,
+                source,
+                max_bound,
+            } => Job::Sweep {
+                id,
+                source: source.into_owned(),
+                max_bound,
+            },
+        }
+    }
+}
+
+impl Job {
     /// Content key for in-flight deduplication: everything that determines
     /// the response body except the caller's `id`.  The full string (not a
     /// hash of it) keys the in-flight map, so two distinct requests can
@@ -301,6 +468,7 @@ pub(crate) struct Scheduler<'env> {
     /// Responses dropped on dead connections.  Shared (`Arc`) so transport
     /// respond closures can own a handle without borrowing the scheduler.
     disconnected: Arc<AtomicU64>,
+    resident: AtomicU64,
 }
 
 impl<'env> Scheduler<'env> {
@@ -327,6 +495,7 @@ impl<'env> Scheduler<'env> {
             cost_shed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             disconnected: Arc::new(AtomicU64::new(0)),
+            resident: AtomicU64::new(0),
         }
     }
 
@@ -474,6 +643,7 @@ impl<'env> Scheduler<'env> {
             cost_shed: self.cost_shed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             disconnected: self.disconnected.load(Ordering::Relaxed),
+            resident: self.resident.load(Ordering::Relaxed),
             flushed,
             clean_shutdown,
         }
@@ -611,6 +781,7 @@ impl Server {
             latency,
             client_quota: None,
             wire_faults: crate::fault::FaultPlan::none(),
+            resident: ResidentKeys::default(),
         }
     }
 
@@ -721,18 +892,17 @@ impl Server {
                     });
                 }
             };
-            for line in reader.lines() {
-                let line = match line {
-                    Ok(line) => line,
+            let mut lines = LineReader::new(reader);
+            loop {
+                let line = match lines.next_line() {
+                    Ok(Some(line)) => line,
+                    Ok(None) => break,
                     Err(e) => {
                         scheduler.close();
                         return Err(e);
                     }
                 };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if self.dispatch(&scheduler, &line, &respond, &spawn_worker, "stdio") {
+                if self.dispatch(&scheduler, line, &respond, &spawn_worker, "stdio") {
                     clean_shutdown = true;
                     break;
                 }
@@ -758,13 +928,16 @@ impl Server {
     pub(crate) fn dispatch<'env>(
         &self,
         scheduler: &Scheduler<'env>,
-        line: &str,
+        line: Result<&str, LineError>,
         respond: &Respond<'env>,
         spawn_worker: &dyn Fn(),
         client: &str,
     ) -> bool {
         scheduler.requests.fetch_add(1, Ordering::Relaxed);
-        match parse_request(line) {
+        let request = line
+            .map_err(|e| (None, format!("invalid request: {e}")))
+            .and_then(parse_request);
+        match request {
             Ok(Request::Job {
                 job,
                 deadline_ms,
@@ -772,10 +945,14 @@ impl Server {
                 tenant,
             }) => {
                 let trace = trace.unwrap_or_else(tmg_obs::next_trace_id);
-                let lane = tenant.unwrap_or_else(|| client.to_owned());
+                // A zero deadline is declined by `submit`, resident or not.
+                if deadline_ms != Some(0) && self.answer_resident(scheduler, &job, trace, respond) {
+                    return false;
+                }
+                let lane = tenant.map_or_else(|| client.to_owned(), Cow::into_owned);
                 self.submit(
                     scheduler,
-                    job,
+                    job.into_owned(),
                     deadline_ms,
                     trace,
                     lane,
@@ -828,6 +1005,71 @@ impl Server {
                 false
             }
         }
+    }
+
+    /// The resident-answer fast path.  An `analyse` whose source the
+    /// server has parsed before and whose every selected bound is in the
+    /// segment log is answered here, on the transport thread: no mini-C
+    /// parse, no fingerprinting, no scheduler hand-off.  The response is
+    /// byte-identical to the scheduled one, every report is read from the
+    /// log through [`PersistentStore::with_bound_view`], and the request
+    /// counts and lands in the latency histogram like any other.  Traced
+    /// requests take the scheduled path so that their span tree keeps its
+    /// shape.  Returns whether the request was answered.
+    fn answer_resident<'env>(
+        &self,
+        scheduler: &Scheduler<'env>,
+        job: &Job<Cow<'_, str>>,
+        trace: u64,
+        respond: &Respond<'env>,
+    ) -> bool {
+        let Job::Analyse {
+            id,
+            source,
+            path_bound,
+            function,
+        } = job
+        else {
+            return false;
+        };
+        if tmg_obs::enabled() {
+            return false;
+        }
+        let accepted_at = Instant::now();
+        let Some(body) = self.resident_body(source, *path_bound, function.as_deref()) else {
+            return false;
+        };
+        self.latency.analyse.record(accepted_at.elapsed());
+        scheduler.resident.fetch_add(1, Ordering::Relaxed);
+        scheduler.respond(respond, *id, &with_trace(trace, &body));
+        true
+    }
+
+    /// The `analyse` response body from the segment log, or `None` when the
+    /// source is not remembered, no function matches `filter` or a bound
+    /// is missing (the scheduled path then answers, as it would have).
+    fn resident_body(
+        &self,
+        source: &str,
+        path_bound: u128,
+        filter: Option<&str>,
+    ) -> Option<String> {
+        let (functions, config) = self.resident.lookup(source, path_bound)?;
+        let mut reports = Vec::new();
+        for function in functions
+            .iter()
+            .filter(|f| filter.is_none_or(|name| f.name == name))
+        {
+            let key = config.bound_key(function.fingerprint);
+            let report = self
+                .store
+                .with_bound_view(key, |view| view.map(|v| report_json(&v.to_report())))?;
+            reports.push(report);
+        }
+        if reports.is_empty() {
+            return None;
+        }
+        Some(analyse_body(&reports))
     }
 
     /// Admission control for one job: declines zero deadlines outright,
@@ -1066,6 +1308,7 @@ impl Server {
             )
             }
         };
+        self.resident.remember(source, &program);
         let functions: Vec<_> = program
             .functions
             .iter()
@@ -1100,10 +1343,7 @@ impl Server {
             .into_iter()
             .map(|r| report_json(&r.expect("checked above")))
             .collect();
-        format!(
-            "\"op\": \"analyse\", \"ok\": true, \"reports\": [{}]",
-            reports.join(", ")
-        )
+        analyse_body(&reports)
     }
 
     /// The interprocedural composition op: analyses the whole module
@@ -1218,6 +1458,14 @@ impl Server {
     }
 }
 
+/// The body of a successful `analyse` response over its rendered reports.
+fn analyse_body(reports: &[String]) -> String {
+    format!(
+        "\"op\": \"analyse\", \"ok\": true, \"reports\": [{}]",
+        reports.join(", ")
+    )
+}
+
 /// Renders one [`AnalysisReport`] as a JSON object.
 fn report_json(r: &AnalysisReport) -> String {
     let exhaustive = match r.exhaustive_max {
@@ -1242,15 +1490,15 @@ fn report_json(r: &AnalysisReport) -> String {
     )
 }
 
-enum Request {
+enum Request<'a> {
     Job {
-        job: Job,
+        job: Job<Cow<'a, str>>,
         deadline_ms: Option<u64>,
         /// Caller-chosen trace id; assigned at dispatch when absent.
         trace: Option<u64>,
         /// Declared fair-queuing tenant; the transport's connection label
         /// is the lane when absent.
-        tenant: Option<String>,
+        tenant: Option<Cow<'a, str>>,
     },
     Stats {
         id: u64,
@@ -1269,12 +1517,15 @@ enum Request {
 
 type RequestError = (Option<u64>, String);
 
-fn parse_request(line: &str) -> Result<Request, RequestError> {
-    let value = json::parse(line).map_err(|e| (None, format!("invalid request: {e}")))?;
-    let id = value.get("id").and_then(Value::as_u64);
+/// Parses one request line in a single pass; the strings of the request
+/// borrow from `line` unless they had escapes.
+fn parse_request(line: &str) -> Result<Request<'_>, RequestError> {
+    let mut value =
+        json::parse_members(line).map_err(|e| (None, format!("invalid request: {e}")))?;
+    let id = value.get("id").and_then(Member::as_u64);
     let op = value
-        .get("op")
-        .and_then(Value::as_str)
+        .take("op")
+        .and_then(Member::into_str)
         .ok_or((id, "missing op".to_owned()))?;
     let id = id.ok_or((None, "missing id".to_owned()))?;
     let deadline_ms = match value.get("deadline_ms") {
@@ -1292,103 +1543,78 @@ fn parse_request(line: &str) -> Result<Request, RequestError> {
                 .ok_or((Some(id), "trace_id must be a positive integer".to_owned()))?,
         ),
     };
-    let tenant = match value.get("tenant") {
+    let tenant = match value.take("tenant") {
         None => None,
         Some(v) => Some(
-            v.as_str()
+            v.into_str()
                 .filter(|t| !t.is_empty())
-                .ok_or((Some(id), "tenant must be a non-empty string".to_owned()))?
-                .to_owned(),
+                .ok_or((Some(id), "tenant must be a non-empty string".to_owned()))?,
         ),
     };
-    match op {
+    let mut source = |op: &str| {
+        value
+            .take("source")
+            .and_then(Member::into_str)
+            .ok_or((Some(id), format!("{op} needs a source")))
+    };
+    let job = match &*op {
         "analyse" => {
-            let source = value
-                .get("source")
-                .and_then(Value::as_str)
-                .ok_or((Some(id), "analyse needs a source".to_owned()))?
-                .to_owned();
-            let path_bound = match value.get("path_bound") {
-                None => 1,
-                Some(v) => v
-                    .as_u128()
-                    .filter(|b| *b >= 1)
-                    .ok_or((Some(id), "path_bound must be a positive integer".to_owned()))?,
-            };
-            let function = value
-                .get("function")
-                .and_then(Value::as_str)
-                .map(str::to_owned);
-            Ok(Request::Job {
-                job: Job::Analyse {
-                    id,
-                    source,
-                    path_bound,
-                    function,
-                },
-                deadline_ms,
-                trace,
-                tenant,
-            })
+            let source = source("analyse")?;
+            Job::Analyse {
+                id,
+                source,
+                path_bound: positive(&value, id, "path_bound", 1)?,
+                function: value.take("function").and_then(Member::into_str),
+            }
         }
         "analyse_module" => {
-            let source = value
-                .get("source")
-                .and_then(Value::as_str)
-                .ok_or((Some(id), "analyse_module needs a source".to_owned()))?
-                .to_owned();
-            let path_bound = match value.get("path_bound") {
-                None => 1,
-                Some(v) => v
-                    .as_u128()
-                    .filter(|b| *b >= 1)
-                    .ok_or((Some(id), "path_bound must be a positive integer".to_owned()))?,
-            };
-            Ok(Request::Job {
-                job: Job::AnalyseModule {
-                    id,
-                    source,
-                    path_bound,
-                },
-                deadline_ms,
-                trace,
-                tenant,
-            })
+            let source = source("analyse_module")?;
+            Job::AnalyseModule {
+                id,
+                source,
+                path_bound: positive(&value, id, "path_bound", 1)?,
+            }
         }
         "sweep" => {
-            let source = value
-                .get("source")
-                .and_then(Value::as_str)
-                .ok_or((Some(id), "sweep needs a source".to_owned()))?
-                .to_owned();
-            let max_bound = match value.get("max_bound") {
-                None => 1_000_000,
-                Some(v) => v
-                    .as_u128()
-                    .filter(|b| *b >= 1)
-                    .ok_or((Some(id), "max_bound must be a positive integer".to_owned()))?,
-            };
-            Ok(Request::Job {
-                job: Job::Sweep {
-                    id,
-                    source,
-                    max_bound,
-                },
-                deadline_ms,
-                trace,
-                tenant,
-            })
+            let source = source("sweep")?;
+            Job::Sweep {
+                id,
+                source,
+                max_bound: positive(&value, id, "max_bound", 1_000_000)?,
+            }
         }
-        "stats" => Ok(Request::Stats { id, trace }),
+        "stats" => return Ok(Request::Stats { id, trace }),
         "profile" => {
             let trace = trace.ok_or((
                 Some(id),
                 "profile needs the trace_id of a completed request".to_owned(),
             ))?;
-            Ok(Request::Profile { id, trace })
+            return Ok(Request::Profile { id, trace });
         }
-        "shutdown" => Ok(Request::Shutdown { id, trace }),
-        other => Err((Some(id), format!("unknown op `{other}`"))),
+        "shutdown" => return Ok(Request::Shutdown { id, trace }),
+        other => return Err((Some(id), format!("unknown op `{other}`"))),
+    };
+    Ok(Request::Job {
+        job,
+        deadline_ms,
+        trace,
+        tenant,
+    })
+}
+
+/// The positive integer member `key`, or `default` when it is absent.
+fn positive(
+    value: &json::Members<'_>,
+    id: u64,
+    key: &str,
+    default: u128,
+) -> Result<u128, RequestError> {
+    match value.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_u128()
+            .filter(|b| *b >= 1)
+            .ok_or((Some(id), format!("{key} must be a positive integer"))),
     }
 }
 
@@ -1404,6 +1630,7 @@ fn write_line<W: Write>(writer: &Mutex<W>, id: u64, body: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use crate::store::PersistentStoreConfig;
     use std::io::Cursor;
 
@@ -2233,5 +2460,228 @@ mod tests {
             assert_eq!(wire.get(kind.name()).and_then(Value::as_u64), Some(0));
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Serves `script` over stdin and returns the summary and the raw
+    /// response lines in the order they were written.
+    fn serve_raw(server: &Server, script: &str) -> (ServeSummary, Vec<String>) {
+        let mut out = Vec::new();
+        let summary = server
+            .serve(Cursor::new(script.to_owned()), &mut out)
+            .expect("serve");
+        let text = String::from_utf8(out).expect("utf-8 responses");
+        (summary, text.lines().map(str::to_owned).collect())
+    }
+
+    fn analyse_line(id: u64, source: &str, extra: &str) -> String {
+        format!(
+            "{{\"id\": {id}, \"op\": \"analyse\", \"source\": \"{}\", \"path_bound\": 4{extra}}}\n",
+            json::escape(source)
+        )
+    }
+
+    /// Two functions, so the `function` filter selects a strict subset.
+    const MODULE: &str = "void f(char a __range(0, 3)) { if (a > 1) { x(); } else { y(); } } \
+                          void g(char b __range(0, 7)) { if (b > 4) { p(); } }";
+
+    #[test]
+    fn a_resident_answer_is_byte_identical_to_the_scheduled_one() {
+        let root = temp_root("resident-identical");
+        let server = Server::new(open_store(&root)).with_workers(2);
+        // Each `stats` is a barrier: the request before it has been
+        // answered (and its bounds published) before the next line is read.
+        let pinned = ", \"trace_id\": 77";
+        let filtered = ", \"function\": \"g\", \"trace_id\": 78";
+        let script = [
+            analyse_line(1, MODULE, pinned),
+            "{\"id\": 2, \"op\": \"stats\"}\n".to_owned(),
+            analyse_line(1, MODULE, pinned),
+            analyse_line(3, MODULE, filtered),
+            analyse_line(4, MODULE, ""),
+            "{\"id\": 5, \"op\": \"shutdown\"}\n".to_owned(),
+        ]
+        .concat();
+        let (summary, lines) = serve_raw(&server, &script);
+        assert_eq!(summary.resident, 3, "every repeat is answered resident");
+        assert_eq!(lines.len(), 6);
+        assert_eq!(lines[0], lines[2], "hit and miss answer byte for byte");
+        let first = json::parse(&lines[0]).expect("parses");
+        assert_eq!(first.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(first.get("trace_id").and_then(Value::as_u64), Some(77));
+        // The filtered hit carries g's report alone, as computed for the miss.
+        let reports = |line: &str| -> Vec<Value> {
+            json::parse(line)
+                .expect("parses")
+                .get("reports")
+                .and_then(Value::as_array)
+                .expect("reports")
+                .to_vec()
+        };
+        let all = reports(&lines[0]);
+        assert_eq!(reports(&lines[3]), all[1..].to_vec());
+        let filtered_hit = json::parse(&lines[3]).expect("parses");
+        assert_eq!(
+            filtered_hit.get("trace_id").and_then(Value::as_u64),
+            Some(78)
+        );
+        // An auto-assigned trace id is echoed on the fast path too.
+        let auto = json::parse(&lines[4]).expect("parses");
+        assert!(auto.get("trace_id").and_then(Value::as_u64).unwrap_or(0) > 0);
+        assert_eq!(reports(&lines[4]), all);
+        // Fast-path answers are never outstanding: the drain is empty, and
+        // every request was answered once.
+        let ack = json::parse(&lines[5]).expect("parses");
+        assert_eq!(ack.get("drained").and_then(Value::as_u64), Some(0));
+        assert_eq!(summary.requests, 6);
+        assert_eq!(summary.responses, 6);
+        assert!(summary.clean_shutdown && summary.flushed);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn the_fast_path_misses_on_a_changed_byte_and_declines_a_zero_deadline() {
+        let root = temp_root("resident-misses");
+        let server = Server::new(open_store(&root)).with_workers(2);
+        let edited = SOURCE.replacen("x()", "z()", 1);
+        assert_eq!(edited.len(), SOURCE.len());
+        let script = [
+            analyse_line(1, SOURCE, ""),
+            "{\"id\": 2, \"op\": \"stats\"}\n".to_owned(),
+            analyse_line(3, &edited, ""),
+            analyse_line(4, SOURCE, ", \"deadline_ms\": 0"),
+            analyse_line(5, SOURCE, ", \"deadline_ms\": 60000"),
+            "{\"id\": 6, \"op\": \"shutdown\"}\n".to_owned(),
+        ]
+        .concat();
+        let (summary, responses) = serve_script(&server, &script);
+        // Only the last request was resident: the edited source is another
+        // source, and a zero deadline is declined before any lookup.
+        assert_eq!(summary.resident, 1);
+        assert_eq!(summary.expired, 1);
+        let kind = |r: &Value| {
+            r.get("error_kind")
+                .and_then(Value::as_str)
+                .map(str::to_owned)
+        };
+        assert_eq!(responses[2].get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(kind(&responses[3]).as_deref(), Some("cancelled"));
+        assert_eq!(responses[4].get("reports"), responses[0].get("reports"));
+        assert_eq!(summary.responses, 6);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_deeply_nested_source_is_a_typed_fault_and_serving_continues() {
+        // 50 000 parentheses used to overflow a worker's stack in the
+        // recursive-descent parser and abort the process.
+        let root = temp_root("minic-nesting");
+        let server = Server::new(open_store(&root)).with_workers(1);
+        let probe = format!(
+            "void f(char a __range(0, 3)) {{ return {}a{}; }}",
+            "(".repeat(50_000),
+            ")".repeat(50_000)
+        );
+        // At the limit every stage walks a tree 256 levels deep.
+        let deepest = format!(
+            "char g(char a __range(0, 3)) {{ return a{}; }}",
+            " + a".repeat(tmg_minic::parser::MAX_NESTING - 1)
+        );
+        let script = [
+            analyse_line(1, &probe, ""),
+            "{\"id\": 2, \"op\": \"stats\"}\n".to_owned(),
+            analyse_line(3, &deepest, ""),
+            "{\"id\": 4, \"op\": \"shutdown\"}\n".to_owned(),
+        ]
+        .concat();
+        let (summary, responses) = serve_script(&server, &script);
+        assert_eq!(summary.responses, 4);
+        let declined = &responses[0];
+        assert_eq!(
+            declined.get("error_kind").and_then(Value::as_str),
+            Some("fault")
+        );
+        let error = declined
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("error");
+        assert!(
+            error.starts_with("parse error: nesting deeper than"),
+            "{error}"
+        );
+        assert_eq!(responses[1].get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(
+            responses[2].get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{:?}",
+            responses[2]
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn over_long_and_non_utf8_lines_are_declined_and_serving_continues() {
+        let root = temp_root("line-limits");
+        let server = Server::new(open_store(&root)).with_workers(1);
+        let mut script = format!(
+            "{{\"id\": 1, \"op\": \"stats\", \"pad\": \"{}\"}}\n",
+            "x".repeat(MAX_REQUEST_BYTES)
+        )
+        .into_bytes();
+        script.extend_from_slice(b"{\"id\": 2, \"op\": \"st\xffts\"}\r\n\n   \n");
+        script.extend_from_slice(
+            b"{\"id\": 3, \"op\": \"stats\"}\n{\"id\": 4, \"op\": \"shutdown\"}",
+        );
+        let mut out = Vec::new();
+        let summary = server.serve(Cursor::new(script), &mut out).expect("serve");
+        let lines: Vec<Value> = String::from_utf8(out)
+            .expect("utf-8")
+            .lines()
+            .map(|l| json::parse(l).expect("response parses"))
+            .collect();
+        assert_eq!(lines.len(), 4, "blank lines are skipped, the rest answered");
+        let error = |v: &Value| v.get("error").and_then(Value::as_str).map(str::to_owned);
+        assert_eq!(
+            error(&lines[0]).as_deref(),
+            Some(
+                format!("invalid request: request line longer than {MAX_REQUEST_BYTES} bytes")
+                    .as_str()
+            )
+        );
+        assert_eq!(
+            error(&lines[1]).as_deref(),
+            Some("invalid request: request line is not valid UTF-8")
+        );
+        assert_eq!(lines[2].get("ok").and_then(Value::as_bool), Some(true));
+        // The last line has no newline and is still a request.
+        assert_eq!(lines[3].get("op").and_then(Value::as_str), Some("shutdown"));
+        assert_eq!(summary.requests, 4);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_line_at_the_limit_is_read_whole() {
+        let body = "{\"id\": 1, \"op\": \"stats\", \"pad\": \"\"}";
+        let line = body.replace(
+            "\"\"}",
+            &format!("\"{}\"}}", "y".repeat(MAX_REQUEST_BYTES - body.len())),
+        );
+        assert_eq!(line.len(), MAX_REQUEST_BYTES);
+        let mut lines = LineReader::new(Cursor::new(format!("{line}\r\n{line}y\n{line}")));
+        let read = lines.next_line().expect("read");
+        assert!(
+            read == Some(Ok(line.as_str())),
+            "a `\\r\\n` line at the limit"
+        );
+        let read = lines.next_line().expect("read");
+        assert!(
+            read == Some(Err(LineError::TooLong)),
+            "one byte past the limit"
+        );
+        let read = lines.next_line().expect("read");
+        assert!(
+            read == Some(Ok(line.as_str())),
+            "a last line without a break"
+        );
+        assert_eq!(lines.next_line().expect("read"), None);
     }
 }

@@ -21,8 +21,8 @@
 //! nothing but a condvar wait.
 
 use crate::fault::{damage, FaultKind, STALL_MS};
-use crate::server::{Respond, Scheduler, ServeSummary, Server};
-use std::io::{self, BufRead, BufReader, Write};
+use crate::server::{LineReader, Respond, Scheduler, ServeSummary, Server};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -130,8 +130,8 @@ impl Server {
         connections: &Mutex<Vec<TcpStream>>,
         ordinal: u64,
     ) {
-        let reader = match stream.try_clone() {
-            Ok(read_half) => BufReader::new(read_half),
+        let mut lines = match stream.try_clone() {
+            Ok(read_half) => LineReader::new(BufReader::new(read_half)),
             Err(e) => {
                 eprintln!("tmg-service: dropping connection: {e}");
                 return;
@@ -197,12 +197,10 @@ impl Server {
         // spawn one.
         let no_spawn = || {};
         let client = format!("conn:{ordinal}");
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if self.dispatch(scheduler, &line, &respond, &no_spawn, &client) {
+        // Request lines are bounded (`MAX_REQUEST_BYTES`): an over-long or
+        // non-UTF-8 line gets a typed decline and the connection stays up.
+        while let Ok(Some(line)) = lines.next_line() {
+            if self.dispatch(scheduler, line, &respond, &no_spawn, &client) {
                 // `shutdown`: the drain + flush already happened and the
                 // ack is written.  End the whole session: stop accepting,
                 // then unblock every connection's reader (including ours).
@@ -231,7 +229,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::json::{self, Value};
     use crate::store::{PersistentStore, PersistentStoreConfig};
-    use std::io::Read;
+    use std::io::{BufRead, Read};
     use std::net::SocketAddr;
 
     fn temp_root(tag: &str) -> std::path::PathBuf {
@@ -533,6 +531,114 @@ mod tests {
             // respond time.
             assert_eq!(summary.disconnected, 2);
             assert_eq!(plan.total_fired(), 4);
+        });
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_resident_answer_over_tcp_is_byte_identical_and_counted() {
+        let root = temp_root("resident");
+        let server = Server::new(open_store(&root)).with_workers(2);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let analyse = |id: u64, source: &str, extra: &str| {
+            format!(
+                "{{\"id\": {id}, \"op\": \"analyse\", \"source\": \"{}\", \"path_bound\": 2{extra}}}\n",
+                json::escape(source)
+            )
+        };
+        let edited = SOURCE.replacen("x()", "z()", 1);
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.serve_tcp(listener).expect("serve_tcp"));
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            // Closed loop: each response is read before the next request
+            // is sent, so the second request finds the first one's bound.
+            let mut round_trip = |line: &str| {
+                stream.write_all(line.as_bytes()).expect("send");
+                read_lines(&mut reader, 1).remove(0)
+            };
+            let miss = round_trip(&analyse(1, SOURCE, ", \"trace_id\": 5"));
+            let hit = round_trip(&analyse(1, SOURCE, ", \"trace_id\": 5"));
+            let other = round_trip(&analyse(2, &edited, ""));
+            let zero = round_trip(&analyse(3, SOURCE, ", \"deadline_ms\": 0"));
+            // A scheduled job may still be finishing after its response is
+            // written; the `stats` barrier waits for it, so the shutdown
+            // after the last resident answer finds nothing outstanding.
+            round_trip("{\"id\": 4, \"op\": \"stats\"}\n");
+            let last = round_trip(&analyse(5, SOURCE, ""));
+            let ack = round_trip("{\"id\": 6, \"op\": \"shutdown\"}\n");
+            assert_eq!(hit, miss, "a resident answer is byte-identical");
+            let hit = json::parse(&hit).expect("parses");
+            assert_eq!(hit.get("ok").and_then(Value::as_bool), Some(true));
+            assert_eq!(hit.get("trace_id").and_then(Value::as_u64), Some(5));
+            let other = json::parse(&other).expect("parses");
+            assert_eq!(other.get("ok").and_then(Value::as_bool), Some(true));
+            let zero = json::parse(&zero).expect("parses");
+            assert_eq!(
+                zero.get("error_kind").and_then(Value::as_str),
+                Some("cancelled")
+            );
+            let last = json::parse(&last).expect("parses");
+            assert_eq!(last.get("reports"), hit.get("reports"));
+            let ack = json::parse(&ack).expect("parses");
+            assert_eq!(ack.get("drained").and_then(Value::as_u64), Some(0));
+            let summary = handle.join().expect("server thread");
+            assert_eq!(summary.resident, 2, "only the repeats were resident");
+            assert_eq!(summary.expired, 1);
+            assert_eq!(summary.requests, 7);
+            assert_eq!(summary.responses, 7);
+            assert!(summary.clean_shutdown);
+        });
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_over_long_line_is_declined_and_the_connection_keeps_serving() {
+        let root = temp_root("long-line");
+        let server = Server::new(open_store(&root)).with_workers(1);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| server.serve_tcp(listener).expect("serve_tcp"));
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let long = format!(
+                "{{\"id\": 1, \"op\": \"stats\", \"pad\": \"{}\"}}\n",
+                "x".repeat(crate::MAX_REQUEST_BYTES)
+            );
+            // Written from another thread: the server reads (and drops) the
+            // line while it arrives, long before this side reads anything.
+            let writer = scope.spawn(move || {
+                stream.write_all(long.as_bytes()).expect("send long line");
+                stream
+                    .write_all(
+                        b"{\"id\": 2, \"op\": \"stats\"}\n{\"id\": 3, \"op\": \"shutdown\"}\n",
+                    )
+                    .expect("send");
+                stream
+            });
+            let lines = read_lines(&mut reader, 3);
+            drop(writer.join().expect("writer"));
+            let declined = json::parse(&lines[0]).expect("parses");
+            assert_eq!(
+                declined.get("error_kind").and_then(Value::as_str),
+                Some("fault")
+            );
+            let error = declined
+                .get("error")
+                .and_then(Value::as_str)
+                .expect("error");
+            assert!(
+                error.starts_with("invalid request: request line longer than"),
+                "{error}"
+            );
+            let stats = json::parse(&lines[1]).expect("parses");
+            assert_eq!(stats.get("id").and_then(Value::as_u64), Some(2));
+            assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+            let summary = handle.join().expect("server thread");
+            assert_eq!(summary.requests, 3);
+            assert!(summary.clean_shutdown);
         });
         let _ = std::fs::remove_dir_all(&root);
     }

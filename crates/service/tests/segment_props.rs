@@ -297,3 +297,33 @@ fn two_writers_over_one_directory_converge_to_a_consistent_index() {
     assert_eq!(locks, 0, "clean exits must release segment locks");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn a_published_index_snapshot_reloads_without_a_scan() {
+    // The snapshot is streamed to its file with the digest taken on the
+    // way; a reopen must accept it (digest over the whole body) and serve
+    // every frame without rebuilding the index by scanning.
+    let root = temp_root("snapshot");
+    let keys: Vec<u64> = (1..=64).collect();
+    {
+        let store = open_store(&root, FaultPlan::none());
+        for &key in &keys {
+            store.put_bound(key, report_for(key));
+        }
+        store.flush();
+        assert!(store.stats().segment.index_publishes > 0);
+    }
+    let reopened = open_store(&root, FaultPlan::none());
+    let all: HashSet<u64> = keys.iter().copied().collect();
+    let live: Vec<u64> = keys
+        .iter()
+        .copied()
+        .filter(|&key| reopened.bound(key).is_some())
+        .collect();
+    assert!(!live.is_empty(), "the budget keeps the newest frames");
+    for &key in &keys {
+        check_read(&reopened, key, &all);
+    }
+    assert_eq!(reopened.stats().segment.index_rebuilds, 0);
+    let _ = std::fs::remove_dir_all(&root);
+}

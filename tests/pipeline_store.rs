@@ -5,9 +5,9 @@
 //! results to the storeless pipeline.
 
 use std::sync::Arc;
-use tmg_core::pipeline::{ArtifactStore, Stage, StageStats};
-use tmg_core::WcetAnalysis;
-use tmg_minic::parse_function;
+use tmg_core::pipeline::{ArtifactStore, Stage, StageStats, INTERMEDIATE_CAPACITY};
+use tmg_core::{ModuleAnalysis, WcetAnalysis};
+use tmg_minic::{parse_function, parse_program};
 
 fn controller() -> tmg_minic::Function {
     // The nested `demand > 3 && demand < 2` combination is infeasible, so
@@ -179,4 +179,76 @@ fn detailed_analysis_through_the_store_reuses_stage_artifacts() {
     assert_eq!(store.stats(Stage::Partition), StageStats::hm(1, 1));
     assert_eq!(store.stats(Stage::Testgen), StageStats::hm(1, 1));
     assert_eq!(store.stats(Stage::Measure), StageStats::hm(1, 1));
+}
+
+#[test]
+fn the_memory_tier_keeps_every_bound_but_only_a_working_set_of_intermediates() {
+    const FUNCTIONS: usize = 64;
+    let store = Arc::new(ArtifactStore::new());
+    let analysis = WcetAnalysis::new(2).with_store(store.clone());
+    let source = |i: usize| {
+        format!(
+            "void f{i}(char a __range(0, 6)) {{ if (a > 3) {{ g(); }} if (a == {}) {{ h(); }} }}",
+            i % 7
+        )
+    };
+    let functions: Vec<_> = (0..FUNCTIONS)
+        .map(|i| parse_function(&source(i)).expect("parse"))
+        .collect();
+    for function in &functions {
+        analysis.analyse(function).expect("analysis");
+    }
+    let snapshot = store.store_stats();
+    assert_eq!(snapshot.entries[Stage::Bound.index()], FUNCTIONS);
+    for stage in [
+        Stage::Lower,
+        Stage::Partition,
+        Stage::PrepareModel,
+        Stage::Testgen,
+        Stage::Measure,
+    ] {
+        assert!(
+            snapshot.entries[stage.index()] <= INTERMEDIATE_CAPACITY,
+            "{stage} keeps {} entries",
+            snapshot.entries[stage.index()]
+        );
+    }
+    assert_eq!(
+        store.stats(Stage::Lower).evictions,
+        (FUNCTIONS - INTERMEDIATE_CAPACITY) as u64
+    );
+    // Every bound is still answered from memory ...
+    for function in &functions {
+        analysis.analyse(function).expect("warm analysis");
+    }
+    assert_eq!(
+        store.stats(Stage::Bound),
+        StageStats::hm(FUNCTIONS as u64, FUNCTIONS as u64)
+    );
+    // ... and the most recent function is still in the working set: a sweep
+    // to another bound re-lowers nothing.
+    WcetAnalysis::new(3)
+        .with_store(store.clone())
+        .analyse(functions.last().expect("a function"))
+        .expect("sweep");
+    assert_eq!(
+        store.stats(Stage::Lower),
+        StageStats {
+            hits: 1,
+            misses: FUNCTIONS as u64,
+            evictions: (FUNCTIONS - INTERMEDIATE_CAPACITY) as u64,
+        }
+    );
+    // A module's call graph is an intermediate too.
+    let modules = ModuleAnalysis::new(2).with_store(store.clone());
+    for i in 0..FUNCTIONS {
+        let program = parse_program(&source(i)).expect("parse");
+        modules.analyse_module(&program).expect("module analysis");
+    }
+    let snapshot = store.store_stats();
+    assert_eq!(snapshot.callgraph_entries, INTERMEDIATE_CAPACITY);
+    assert_eq!(
+        snapshot.callgraph.evictions,
+        (FUNCTIONS - INTERMEDIATE_CAPACITY) as u64
+    );
 }
