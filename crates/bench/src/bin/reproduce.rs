@@ -54,18 +54,15 @@ use tmg_service::{json, FaultPlan, PersistentStore, PersistentStoreConfig, Serve
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `profile` and `chaos` own `--quick` as their own short modes, so they
-    // must be routed before the CI smoke shortcut.
+    // The subcommands own their flags (`profile` and `chaos` their own
+    // `--quick`), so they are routed before the argument check and the CI
+    // smoke shortcut.
     if args.iter().any(|a| a == "profile") {
         run_profile(&args);
         return;
     }
     if args.iter().any(|a| a == "chaos") {
         run_chaos(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "--quick") {
-        run_quick();
         return;
     }
     if args.iter().any(|a| a == "serve") {
@@ -76,26 +73,39 @@ fn main() {
         run_loadtest(&args);
         return;
     }
-    let with_stats = args.iter().any(|a| a == "--stats");
-    let experiments: Vec<String> = args
+    // Checked before anything runs: a misspelt flag or experiment must not
+    // fall through to the (minutes-long) default of every experiment.
+    if let Some(unknown) = args
         .iter()
+        .find(|a| !EXPERIMENTS.contains(&a.as_str()) && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("unknown argument `{unknown}`\n\n{USAGE}");
+        std::process::exit(2);
+    }
+    if args.iter().any(|a| a == "--quick") {
+        run_quick();
+        return;
+    }
+    let with_stats = args.iter().any(|a| a == "--stats");
+    let experiments: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
         .filter(|a| !a.starts_with("--"))
-        .cloned()
         .collect();
-    let wanted: Vec<String> = if experiments.is_empty() || experiments.iter().any(|a| a == "all") {
+    let wanted = if experiments.is_empty() || experiments.contains(&"all") {
         vec![
-            "table1".into(),
-            "figure2".into(),
-            "figure3".into(),
-            "table2".into(),
-            "case-study".into(),
-            "testgen".into(),
+            "table1",
+            "figure2",
+            "figure3",
+            "table2",
+            "case-study",
+            "testgen",
         ]
     } else {
         experiments
     };
     for experiment in wanted {
-        match experiment.as_str() {
+        match experiment {
             "table1" => print_table1(),
             "figure2" => print_figure2_3(true),
             "figure3" => print_figure2_3(false),
@@ -104,10 +114,40 @@ fn main() {
             "testgen" => print_testgen(),
             "sweep" => print_sweep_json(with_stats),
             "bench" => run_bench(),
-            other => eprintln!("unknown experiment `{other}` (expected table1, figure2, figure3, table2, case-study, testgen, sweep, serve, loadtest, chaos, profile, bench, all)"),
+            other => unreachable!("`{other}` passed the argument check"),
         }
     }
 }
+
+/// Experiments `main` runs itself; `serve`, `loadtest`, `chaos` and
+/// `profile` are routed before the argument check and own their flags.
+const EXPERIMENTS: [&str; 10] = [
+    "table1",
+    "figure2",
+    "figure3",
+    "table2",
+    "case-study",
+    "case_study",
+    "testgen",
+    "sweep",
+    "bench",
+    "all",
+];
+
+/// Flags accepted alongside the experiments (`--quick` runs the CI smoke
+/// instead of them).
+const FLAGS: [&str; 2] = ["--stats", "--quick"];
+
+/// Printed to stderr, with exit status 2, for an unknown argument.
+const USAGE: &str = "usage: reproduce [EXPERIMENT...] [--stats]
+       reproduce --quick
+       reproduce serve [--tcp ADDR] [--announce PATH] [--smoke]
+       reproduce loadtest [--requests N] [--workers N]
+       reproduce chaos [--quick]
+       reproduce profile [wiper|module] [--quick]
+
+experiments: table1 figure2 figure3 table2 case-study testgen sweep bench all
+             (none given, or `all`: every experiment but sweep and bench)";
 
 /// Starts the analysis server (stdin or TCP), or runs the scripted smoke
 /// batch.  Startup arms `TMG_FAULT_PLAN` (if set) and always runs the

@@ -1,13 +1,14 @@
 //! Hand-rolled versioned binary codec for the persisted pipeline artifacts.
 //!
-//! Every artifact [`crate::store`] writes to disk — [`PreparedModelArtifact`],
-//! [`SuiteArtifact`], [`CampaignArtifact`] and [`BoundArtifact`] —
-//! round-trips through a self-describing binary frame so the on-disk cache
-//! can serve a *different process's* artifacts.  Lowering and partition
-//! artifacts are never persisted (recomputing them is cheaper than decoding
-//! them), so they have no codec; their stage tags stay reserved in the
-//! frame header.  The build environment has no crates.io access, so the
-//! format is written by hand against the vendored-shim reality: fixed-width
+//! Every artifact [`crate::store`] writes to disk — [`SuiteArtifact`],
+//! [`CampaignArtifact`] and [`BoundArtifact`] — round-trips through a
+//! self-describing binary frame so the on-disk cache can serve a *different
+//! process's* artifacts.  Lowering, partition and prepared-model artifacts
+//! are never persisted (their frames cost more than they save), so they
+//! have no codec; their stage tags stay reserved in the frame header, and
+//! frames an older build wrote under them still verify but are never
+//! probed.  The build environment has no crates.io access, so the format
+//! is written by hand against the vendored-shim reality: fixed-width
 //! little-endian integers, length-prefixed strings, explicit enum tags.
 //!
 //! # Frame layout
@@ -32,31 +33,20 @@
 //!
 //! # Payload conventions
 //!
-//! Collections are length-prefixed.  `HashMap`/`HashSet` payloads are sorted
-//! by key before writing so encoding is a pure function of the artifact
-//! value — the proptest suite asserts `encode(decode(encode(x))) ==
-//! encode(x)` byte for byte.  A prepared-model artifact stores the
-//! optimised encoded [`Model`] only; the arena preparation is re-derived by
-//! [`SharedCheckModel::from_parts`], deterministically, so the decoded
-//! artifact is indistinguishable from the original.
+//! Collections are length-prefixed and written in the artifact's own order,
+//! so encoding is a pure function of the artifact value — the proptest
+//! suite asserts `encode(decode(encode(x))) == encode(x)` byte for byte.
 
-use std::collections::HashSet;
 use std::hash::Hasher as _;
-use std::sync::Arc;
 use tmg_cfg::{BlockId, PathSpec, StableHasher};
-use tmg_core::pipeline::{
-    BoundArtifact, CampaignArtifact, PreparedModelArtifact, Stage, SuiteArtifact, STAGES,
-};
+use tmg_core::pipeline::{BoundArtifact, CampaignArtifact, Stage, SuiteArtifact, STAGES};
 use tmg_core::{
     AnalysisReport, CoverageGoal, CoverageStatus, GeneratorKind, GoalKind, MeasurementCampaign,
     SegmentId, SegmentTiming, TestSuite,
 };
-use tmg_minic::ast::{BinOp, Expr, UnOp};
 use tmg_minic::interp::BranchChoice;
-use tmg_minic::types::Ty;
 use tmg_minic::value::InputVector;
 use tmg_minic::StmtId;
-use tmg_tsys::{LocId, Model, OptReport, SharedCheckModel, StateVar, Transition, VarRole};
 
 /// Current frame format version.  Bumping it turns every previously written
 /// cache file into a clean miss.
@@ -349,114 +339,8 @@ pub fn verify_frame(bytes: &[u8], stage: Stage, key: u64) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// mini-C expressions — embedded in the prepared model's guards and effects.
+// Branch decisions — embedded in the suite's region-path goals.
 // ---------------------------------------------------------------------------
-
-fn enc_un_op(e: &mut Enc, op: UnOp) {
-    e.u8(match op {
-        UnOp::Neg => 0,
-        UnOp::Not => 1,
-        UnOp::BitNot => 2,
-    });
-}
-
-fn dec_un_op(d: &mut Dec<'_>) -> Result<UnOp> {
-    Ok(match d.u8()? {
-        0 => UnOp::Neg,
-        1 => UnOp::Not,
-        2 => UnOp::BitNot,
-        _ => return Err(CodecError::Malformed("unary operator tag")),
-    })
-}
-
-fn enc_bin_op(e: &mut Enc, op: BinOp) {
-    e.u8(match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::Lt => 5,
-        BinOp::Le => 6,
-        BinOp::Gt => 7,
-        BinOp::Ge => 8,
-        BinOp::Eq => 9,
-        BinOp::Ne => 10,
-        BinOp::And => 11,
-        BinOp::Or => 12,
-        BinOp::BitAnd => 13,
-        BinOp::BitOr => 14,
-        BinOp::BitXor => 15,
-        BinOp::Shl => 16,
-        BinOp::Shr => 17,
-    });
-}
-
-fn dec_bin_op(d: &mut Dec<'_>) -> Result<BinOp> {
-    Ok(match d.u8()? {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::Lt,
-        6 => BinOp::Le,
-        7 => BinOp::Gt,
-        8 => BinOp::Ge,
-        9 => BinOp::Eq,
-        10 => BinOp::Ne,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        13 => BinOp::BitAnd,
-        14 => BinOp::BitOr,
-        15 => BinOp::BitXor,
-        16 => BinOp::Shl,
-        17 => BinOp::Shr,
-        _ => return Err(CodecError::Malformed("binary operator tag")),
-    })
-}
-
-fn enc_expr(e: &mut Enc, expr: &Expr) {
-    match expr {
-        Expr::Int(v) => {
-            e.u8(0);
-            e.i64(*v);
-        }
-        Expr::Var(name) => {
-            e.u8(1);
-            e.str(name);
-        }
-        Expr::Unary { op, operand } => {
-            e.u8(2);
-            enc_un_op(e, *op);
-            enc_expr(e, operand);
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            e.u8(3);
-            enc_bin_op(e, *op);
-            enc_expr(e, lhs);
-            enc_expr(e, rhs);
-        }
-    }
-}
-
-fn dec_expr(d: &mut Dec<'_>) -> Result<Expr> {
-    Ok(match d.u8()? {
-        0 => Expr::Int(d.i64()?),
-        1 => Expr::Var(d.str()?),
-        2 => {
-            let op = dec_un_op(d)?;
-            Expr::unary(op, dec_expr(d)?)
-        }
-        3 => {
-            let op = dec_bin_op(d)?;
-            let lhs = dec_expr(d)?;
-            let rhs = dec_expr(d)?;
-            Expr::binary(op, lhs, rhs)
-        }
-        _ => return Err(CodecError::Malformed("expression tag")),
-    })
-}
 
 fn enc_branch_choice(e: &mut Enc, choice: BranchChoice) {
     match choice {
@@ -482,242 +366,6 @@ fn dec_branch_choice(d: &mut Dec<'_>) -> Result<BranchChoice> {
         5 => BranchChoice::LoopExit,
         _ => return Err(CodecError::Malformed("branch choice tag")),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Prepared checker model
-// ---------------------------------------------------------------------------
-
-fn enc_ty(e: &mut Enc, ty: Ty) {
-    e.u8(match ty {
-        Ty::Bool => 0,
-        Ty::I8 => 1,
-        Ty::U8 => 2,
-        Ty::I16 => 3,
-        Ty::U16 => 4,
-        Ty::I32 => 5,
-    });
-}
-
-fn dec_ty(d: &mut Dec<'_>) -> Result<Ty> {
-    Ok(match d.u8()? {
-        0 => Ty::Bool,
-        1 => Ty::I8,
-        2 => Ty::U8,
-        3 => Ty::I16,
-        4 => Ty::U16,
-        5 => Ty::I32,
-        _ => return Err(CodecError::Malformed("type tag")),
-    })
-}
-
-fn enc_state_var(e: &mut Enc, v: &StateVar) {
-    e.str(&v.name);
-    enc_ty(e, v.ty);
-    e.i64(v.domain.0);
-    e.i64(v.domain.1);
-    e.opt(&v.init, |e, i| e.i64(*i));
-    e.u8(match v.role {
-        VarRole::Input => 0,
-        VarRole::Local => 1,
-    });
-}
-
-fn dec_state_var(d: &mut Dec<'_>) -> Result<StateVar> {
-    let name = d.str()?;
-    let ty = dec_ty(d)?;
-    let domain = (d.i64()?, d.i64()?);
-    let init = d.opt(|d| d.i64())?;
-    let role = match d.u8()? {
-        0 => VarRole::Input,
-        1 => VarRole::Local,
-        _ => return Err(CodecError::Malformed("variable role tag")),
-    };
-    Ok(StateVar {
-        name,
-        ty,
-        domain,
-        init,
-        role,
-    })
-}
-
-fn enc_transition(e: &mut Enc, t: &Transition) {
-    e.u32(t.from.0);
-    e.u32(t.to.0);
-    e.opt(&t.guard, enc_expr);
-    e.usize(t.effect.len());
-    for (target, expr) in &t.effect {
-        e.str(target);
-        enc_expr(e, expr);
-    }
-    e.opt(&t.decision, |e, (stmt, choice)| {
-        e.u32(stmt.0);
-        enc_branch_choice(e, *choice);
-    });
-}
-
-fn dec_transition(d: &mut Dec<'_>) -> Result<Transition> {
-    let from = LocId(d.u32()?);
-    let to = LocId(d.u32()?);
-    let guard = d.opt(dec_expr)?;
-    let n = d.seq_len()?;
-    let mut effect = Vec::with_capacity(n);
-    for _ in 0..n {
-        let target = d.str()?;
-        let expr = dec_expr(d)?;
-        effect.push((target, expr));
-    }
-    let decision = d.opt(|d| {
-        let stmt = StmtId(d.u32()?);
-        let choice = dec_branch_choice(d)?;
-        Ok((stmt, choice))
-    })?;
-    Ok(Transition {
-        from,
-        guard,
-        effect,
-        to,
-        decision,
-    })
-}
-
-fn enc_model(e: &mut Enc, m: &Model) {
-    e.str(&m.name);
-    e.usize(m.vars.len());
-    for v in &m.vars {
-        enc_state_var(e, v);
-    }
-    e.u32(m.locations);
-    e.u32(m.initial.0);
-    e.u32(m.final_loc.0);
-    e.usize(m.transitions.len());
-    for t in &m.transitions {
-        enc_transition(e, t);
-    }
-}
-
-fn dec_model(d: &mut Dec<'_>) -> Result<Model> {
-    let name = d.str()?;
-    let n = d.seq_len()?;
-    let mut vars = Vec::with_capacity(n);
-    for _ in 0..n {
-        vars.push(dec_state_var(d)?);
-    }
-    let locations = d.u32()?;
-    let initial = LocId(d.u32()?);
-    let final_loc = LocId(d.u32()?);
-    let n = d.seq_len()?;
-    let mut transitions = Vec::with_capacity(n);
-    for _ in 0..n {
-        transitions.push(dec_transition(d)?);
-    }
-    if initial.index() >= locations as usize || final_loc.index() >= locations as usize {
-        return Err(CodecError::Malformed("model location out of range"));
-    }
-    for t in &transitions {
-        if t.from.index() >= locations as usize || t.to.index() >= locations as usize {
-            return Err(CodecError::Malformed("transition location out of range"));
-        }
-    }
-    Ok(Model {
-        name,
-        vars,
-        locations,
-        initial,
-        final_loc,
-        transitions,
-    })
-}
-
-fn enc_opt_report(e: &mut Enc, r: &OptReport) {
-    let strings = |e: &mut Enc, v: &[String]| {
-        e.usize(v.len());
-        for s in v {
-            e.str(s);
-        }
-    };
-    strings(e, &r.substituted_temps);
-    strings(e, &r.removed_vars);
-    e.usize(r.merged_vars.len());
-    for (kept, merged) in &r.merged_vars {
-        e.str(kept);
-        e.str(merged);
-    }
-    strings(e, &r.initialised_vars);
-    e.usize(r.removed_stmts);
-}
-
-fn dec_opt_report(d: &mut Dec<'_>) -> Result<OptReport> {
-    let strings = |d: &mut Dec<'_>| -> Result<Vec<String>> {
-        let n = d.seq_len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(d.str()?);
-        }
-        Ok(out)
-    };
-    let substituted_temps = strings(d)?;
-    let removed_vars = strings(d)?;
-    let n = d.seq_len()?;
-    let mut merged_vars = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kept = d.str()?;
-        let merged = d.str()?;
-        merged_vars.push((kept, merged));
-    }
-    let initialised_vars = strings(d)?;
-    let removed_stmts = d.usize()?;
-    Ok(OptReport {
-        substituted_temps,
-        removed_vars,
-        merged_vars,
-        initialised_vars,
-        removed_stmts,
-    })
-}
-
-/// Encodes a prepared-model artifact: the optimised encoded model, its
-/// optimisation report and the preserve-set union (`None` models — "no
-/// shared model is provably equivalent" — are stored too, so the negative
-/// verification is not repeated in a warm process).
-pub fn encode_prepared_model(artifact: &PreparedModelArtifact) -> Vec<u8> {
-    let mut e = Enc::default();
-    match &artifact.shared {
-        None => e.bool(false),
-        Some(shared) => {
-            e.bool(true);
-            enc_model(&mut e, shared.model());
-            enc_opt_report(&mut e, shared.opt_report());
-            let mut union: Vec<StmtId> = shared.union().iter().copied().collect();
-            union.sort_unstable();
-            e.usize(union.len());
-            for s in union {
-                e.u32(s.0);
-            }
-        }
-    }
-    encode_frame(Stage::PrepareModel, artifact.key, &e.buf)
-}
-
-/// Decodes a prepared-model artifact, re-deriving the arena preparation.
-pub fn decode_prepared_model(bytes: &[u8], key: u64) -> Result<PreparedModelArtifact> {
-    let payload = decode_frame(bytes, Stage::PrepareModel, key)?;
-    let mut d = Dec::new(payload);
-    let shared = if d.bool()? {
-        let model = dec_model(&mut d)?;
-        let report = dec_opt_report(&mut d)?;
-        let n = d.seq_len()?;
-        let mut union = HashSet::with_capacity(n);
-        for _ in 0..n {
-            union.insert(StmtId(d.u32()?));
-        }
-        Some(Arc::new(SharedCheckModel::from_parts(model, report, union)))
-    } else {
-        None
-    };
-    d.finish()?;
-    Ok(PreparedModelArtifact { key, shared })
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,34 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_model_round_trips_including_the_negative_case() {
-        let (store, f) = artifacts();
-        let lowered = store.lowered(&f);
-        let checker = tmg_tsys::ModelChecker::new();
-        let artifact = store.prepared_model(&f, &lowered, &checker);
-        let bytes = encode_prepared_model(&artifact);
-        let back = decode_prepared_model(&bytes, artifact.key).expect("decode");
-        match (&artifact.shared, &back.shared) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.model(), b.model());
-                assert_eq!(a.opt_report(), b.opt_report());
-                assert_eq!(a.union(), b.union());
-            }
-            (None, None) => {}
-            _ => panic!("shared-model presence must round-trip"),
-        }
-        assert_eq!(encode_prepared_model(&back), bytes);
-
-        let negative = tmg_core::pipeline::PreparedModelArtifact {
-            key: 42,
-            shared: None,
-        };
-        let bytes = encode_prepared_model(&negative);
-        let back = decode_prepared_model(&bytes, 42).expect("decode");
-        assert!(back.shared.is_none());
-    }
-
-    #[test]
     fn decoded_suite_feeds_an_identical_downstream_pipeline() {
         // The acceptance property behind the round-trip: a campaign measured
         // from a *decoded* suite equals one measured from the original.
@@ -1123,46 +743,44 @@ mod tests {
         assert_eq!(original.campaign, replayed.campaign);
     }
 
-    /// A prepared-model frame carrying a shared model: the largest persisted
-    /// frame that embeds an AST, so the verification tests below damage a
-    /// payload with real structure.
-    fn prepared_model_frame() -> (Vec<u8>, u64) {
+    /// A test-suite frame: the largest persisted frame, carrying goals with
+    /// region paths and covering input vectors, so the verification tests
+    /// below damage a payload with real structure.
+    fn suite_frame() -> (Vec<u8>, u64) {
         let (store, f) = artifacts();
         let lowered = store.lowered(&f);
-        let artifact = store.prepared_model(&f, &lowered, &tmg_tsys::ModelChecker::new());
+        let partition = store.partition(&lowered, 3);
+        let suite = store.suite(&f, &lowered, &partition, &HybridGenerator::new());
         assert!(
-            artifact.shared.is_some(),
-            "the fixture must prepare a model"
+            !suite.suite.goals.is_empty(),
+            "the fixture must generate goals"
         );
-        (encode_prepared_model(&artifact), artifact.key)
+        (encode_suite(&suite), suite.key)
     }
 
     #[test]
     fn header_checks_reject_foreign_and_damaged_frames() {
-        let (good, key) = prepared_model_frame();
+        let (good, key) = suite_frame();
 
         // Magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert_eq!(
-            decode_prepared_model(&bad, key).err(),
-            Some(CodecError::BadMagic)
-        );
+        assert_eq!(decode_suite(&bad, key).err(), Some(CodecError::BadMagic));
         // Version.
         let mut bad = good.clone();
         bad[4] = CODEC_VERSION as u8 + 1;
         assert!(matches!(
-            decode_prepared_model(&bad, key),
+            decode_suite(&bad, key),
             Err(CodecError::VersionMismatch { .. })
         ));
         // Kind.
         assert!(matches!(
-            decode_suite(&good, key),
+            decode_campaign(&good, key),
             Err(CodecError::KindMismatch { .. })
         ));
         // Key.
         assert_eq!(
-            decode_prepared_model(&good, key ^ 1).err(),
+            decode_suite(&good, key ^ 1).err(),
             Some(CodecError::KeyMismatch)
         );
         // Payload corruption: flip one byte in the middle.
@@ -1170,25 +788,25 @@ mod tests {
         let mid = HEADER_LEN + (bad.len() - HEADER_LEN - DIGEST_LEN) / 2;
         bad[mid] ^= 0xFF;
         assert_eq!(
-            decode_prepared_model(&bad, key).err(),
+            decode_suite(&bad, key).err(),
             Some(CodecError::ChecksumMismatch)
         );
         // Truncation.
-        assert!(decode_prepared_model(&good[..good.len() - 3], key).is_err());
-        assert!(decode_prepared_model(&good[..10], key).is_err());
+        assert!(decode_suite(&good[..good.len() - 3], key).is_err());
+        assert!(decode_suite(&good[..10], key).is_err());
         // The original still decodes.
-        assert!(decode_prepared_model(&good, key).is_ok());
+        assert!(decode_suite(&good, key).is_ok());
     }
 
     #[test]
     fn parse_frame_discovers_stage_and_key_and_rejects_what_decode_rejects() {
-        let (good, key) = prepared_model_frame();
+        let (good, key) = suite_frame();
         let view = parse_frame(&good).expect("parse");
-        assert_eq!(view.stage, Stage::PrepareModel);
+        assert_eq!(view.stage, Stage::Testgen);
         assert_eq!(view.key, key);
         assert_eq!(
             view.payload,
-            decode_frame(&good, Stage::PrepareModel, key).expect("decode")
+            decode_frame(&good, Stage::Testgen, key).expect("decode")
         );
 
         // An impossible stage tag is a kind mismatch, not a panic.

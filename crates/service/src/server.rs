@@ -87,9 +87,8 @@ use crate::json::{self, Member};
 use crate::latency::LatencySet;
 use crate::memo::ResidentKeys;
 use crate::store::PersistentStore;
-use rustc_hash::FxHashMap;
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -359,9 +358,10 @@ impl Job {
     /// Content key for in-flight deduplication: everything that determines
     /// the response body except the caller's `id`.  The full string (not a
     /// hash of it) keys the in-flight map, so two distinct requests can
-    /// never share a computation by collision.
-    fn dedup_key(&self) -> String {
-        match self {
+    /// never share a computation by collision.  Built once per scheduled
+    /// job and shared by the map and the job's [`Pending`].
+    fn dedup_key(&self) -> Arc<str> {
+        let key = match self {
             Job::Analyse {
                 source,
                 path_bound,
@@ -374,7 +374,8 @@ impl Job {
             Job::Sweep {
                 source, max_bound, ..
             } => format!("sweep\u{0}{source}\u{0}{max_bound}"),
-        }
+        };
+        Arc::from(key)
     }
 }
 
@@ -382,6 +383,10 @@ impl Job {
 /// connection) supplies its own, so the scheduler can route a response to
 /// whichever connection asked.
 pub(crate) type Respond<'env> = Arc<dyn Fn(u64, &str) + Send + Sync + 'env>;
+
+/// The duplicate requests attached to one in-flight job: each caller's id
+/// and responder.
+type Waiters<'env> = Vec<(u64, Respond<'env>)>;
 
 /// An accepted request waiting for (or holding) a worker.
 pub(crate) struct Pending<'env> {
@@ -395,6 +400,9 @@ pub(crate) struct Pending<'env> {
     /// Fair-queuing lane: the declared `tenant`, or the transport's
     /// connection label when none is declared.
     lane: String,
+    /// The job's in-flight key, set when the scheduler registered it for
+    /// deduplication; the worker removes exactly this entry.
+    dedup_key: Option<Arc<str>>,
 }
 
 /// Shared queue state, all under one lock: the per-client lanes, whether
@@ -409,7 +417,9 @@ pub(crate) struct Pending<'env> {
 /// every other client still gets one job dequeued per rotation.
 struct QueueState<'env> {
     /// Per-client FIFO lanes.  Invariant: a lane in the map is non-empty.
-    lanes: FxHashMap<String, VecDeque<Pending<'env>>>,
+    /// Lane names are client-chosen, so the map keeps the standard
+    /// library's randomly keyed hasher: crafted names cannot collide.
+    lanes: HashMap<String, VecDeque<Pending<'env>>>,
     /// Round-robin rotation; contains each non-empty lane exactly once.
     rotation: VecDeque<String>,
     /// Total queued jobs across all lanes.
@@ -456,8 +466,9 @@ pub(crate) struct Scheduler<'env> {
     outstanding: Mutex<usize>,
     drained: Condvar,
     /// Dedup key of every queued-or-running no-deadline job → the duplicate
-    /// requests waiting for the same response body.
-    in_flight: Mutex<FxHashMap<String, Vec<(u64, Respond<'env>)>>>,
+    /// requests waiting for the same response body.  Keyed by request
+    /// source, so randomly hashed like `lanes`.
+    in_flight: Mutex<HashMap<Arc<str>, Waiters<'env>>>,
     requests: AtomicU64,
     responses: AtomicU64,
     dedup_hits: AtomicU64,
@@ -475,7 +486,7 @@ impl<'env> Scheduler<'env> {
     pub(crate) fn new(capacity: usize, quota: usize) -> Scheduler<'env> {
         Scheduler {
             queue: Mutex::new(QueueState {
-                lanes: FxHashMap::default(),
+                lanes: HashMap::new(),
                 rotation: VecDeque::new(),
                 queued: 0,
                 open: true,
@@ -486,7 +497,7 @@ impl<'env> Scheduler<'env> {
             quota,
             outstanding: Mutex::new(0),
             drained: Condvar::new(),
-            in_flight: Mutex::new(FxHashMap::default()),
+            in_flight: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
             responses: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
@@ -521,18 +532,20 @@ impl<'env> Scheduler<'env> {
     /// wake-up.  Lock order: `in_flight` before `queue`.
     fn try_submit(
         &self,
-        pending: Pending<'env>,
+        mut pending: Pending<'env>,
         dedup: bool,
         cost_veto: &dyn Fn(usize) -> bool,
     ) -> Submitted<'env> {
         let mut in_flight = if dedup {
+            let key = pending.job.dedup_key();
             let mut in_flight = self.in_flight.lock().expect("in-flight map");
-            if let Some(waiters) = in_flight.get_mut(&pending.job.dedup_key()) {
+            if let Some(waiters) = in_flight.get_mut(&key) {
                 waiters.push((pending.job.id(), Arc::clone(&pending.respond)));
                 self.dedup_hits.fetch_add(1, Ordering::Relaxed);
                 *self.outstanding.lock().expect("outstanding") += 1;
                 return Submitted::Attached;
             }
+            pending.dedup_key = Some(key);
             Some(in_flight)
         } else {
             None
@@ -551,8 +564,8 @@ impl<'env> Scheduler<'env> {
             self.cost_shed.fetch_add(1, Ordering::Relaxed);
             return Submitted::Shed(pending, ShedReason::Cost);
         }
-        if let Some(map) = in_flight.as_mut() {
-            map.insert(pending.job.dedup_key(), Vec::new());
+        if let (Some(map), Some(key)) = (in_flight.as_mut(), &pending.dedup_key) {
+            map.insert(Arc::clone(key), Vec::new());
         }
         *self.outstanding.lock().expect("outstanding") += 1;
         if lane_depth == 0 {
@@ -1113,6 +1126,7 @@ impl Server {
             accepted_at,
             trace,
             lane,
+            dedup_key: None,
         };
         match scheduler.try_submit(pending, deadline.is_none(), &cost_veto) {
             Submitted::Queued { needs_worker } => {
@@ -1202,6 +1216,7 @@ impl Server {
             accepted_at,
             trace,
             lane: _,
+            dedup_key,
         } = pending;
         let id = job.id();
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -1241,16 +1256,15 @@ impl Server {
             Job::Sweep { .. } => &self.latency.sweep,
         };
         histogram.record(accepted_at.elapsed());
-        let waiters = if deadline.is_none() {
-            scheduler
-                .in_flight
-                .lock()
-                .expect("in-flight map")
-                .remove(&job.dedup_key())
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        let waiters = dedup_key
+            .and_then(|key| {
+                scheduler
+                    .in_flight
+                    .lock()
+                    .expect("in-flight map")
+                    .remove(&key)
+            })
+            .unwrap_or_default();
         {
             let _respond_span = tmg_obs::span("service:respond");
             scheduler.respond(&respond, id, &body);
@@ -2198,6 +2212,7 @@ mod tests {
             accepted_at: Instant::now(),
             trace: id,
             lane: lane.to_owned(),
+            dedup_key: None,
         }
     }
 

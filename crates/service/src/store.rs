@@ -15,12 +15,16 @@
 //! 3. **compute** — the stage function itself; the result is inserted into
 //!    memory and, for a persisted stage, appended to the log.
 //!
-//! Only the stages whose disk read beats recomputation are persisted:
-//! prepare-model, testgen, measure and bound.  Lowering and partitioning
-//! are cheap linear passes over the source (decoding a lowering frame
-//! costs more than re-lowering), so they live in the memory tier only and
-//! never probe or append to the log; their per-stage disk counters stay
-//! zero.  This is a fixed policy, not a configuration knob.
+//! Only the stages whose frame pays for its write are persisted: testgen,
+//! measure and bound.  Lowering and partitioning are cheap linear passes
+//! over the source (decoding a lowering frame costs more than
+//! re-lowering), and the prepared checker model is read back only when a
+//! fresh process analyses a known function at a new path bound — a run
+//! that regenerates its tests anyway — while its frame was over half the
+//! bytes every cold analysis appended.  These three stages live in the
+//! memory tier only and never probe or append to the log; their per-stage
+//! disk counters stay zero.  This is a fixed policy, not a configuration
+//! knob.
 //!
 //! The disk tier is bounded by a byte budget with segment-granular eviction
 //! and live-ratio compaction; durability is group commit (see the segment
@@ -452,19 +456,11 @@ impl TieredStore for PersistentStore {
         if let Some(hit) = self.memory.lookup_prepared_model(key) {
             return hit;
         }
-        if let Some(artifact) = self.fetch_disk(Stage::PrepareModel, key, |b| {
-            codec::decode_prepared_model(b, key)
-        }) {
-            return self.memory.insert_prepared_model(key, artifact);
-        }
         self.record_compute(Stage::PrepareModel);
-        let artifact = pipeline::compute_prepared_model(function, lowered, checker, key);
-        self.log.append(
-            Stage::PrepareModel,
+        self.memory.insert_prepared_model(
             key,
-            &codec::encode_prepared_model(&artifact),
-        );
-        self.memory.insert_prepared_model(key, artifact)
+            pipeline::compute_prepared_model(function, lowered, checker, key),
+        )
     }
 
     fn suite(

@@ -10,10 +10,9 @@
 
 use proptest::prelude::*;
 use tmg_core::pipeline::{self, ArtifactStore, TieredStore};
-use tmg_core::WcetAnalysis;
+use tmg_core::{HybridGenerator, WcetAnalysis};
 use tmg_minic::parse_function;
 use tmg_service::codec;
-use tmg_tsys::ModelChecker;
 
 /// Deterministic draw stream decoding one `u64` seed into small choices
 /// (the vendored proptest only supplies integer-range strategies).
@@ -27,13 +26,15 @@ impl Draws {
     }
 }
 
-/// The encoded prepared-model frame of `f` and its key: the largest
-/// persisted frame that carries an AST (the optimised model's guards and
-/// effects), so the corruption properties damage real structure.
-fn prepared_model_frame(f: &tmg_minic::Function) -> (Vec<u8>, u64) {
+/// The encoded test-suite frame of `f` and its key: the largest persisted
+/// frame (goals with region paths and their covering input vectors), so the
+/// corruption properties damage real structure.
+fn suite_frame(f: &tmg_minic::Function) -> (Vec<u8>, u64) {
     let store = ArtifactStore::new();
-    let model = store.prepared_model(f, &store.lowered(f), &ModelChecker::new());
-    (codec::encode_prepared_model(&model), model.key)
+    let lowered = store.lowered(f);
+    let partition = store.partition(&lowered, 2);
+    let suite = store.suite(f, &lowered, &partition, &HybridGenerator::new());
+    (codec::encode_suite(&suite), suite.key)
 }
 
 /// Builds a random mini-C function with nested branches, switches and
@@ -111,15 +112,15 @@ proptest! {
     ) {
         let src = random_function(shape, 2);
         let f = parse_function(&src).expect("generated function parses");
-        let (good, key) = prepared_model_frame(&f);
+        let (good, key) = suite_frame(&f);
         let cut = (cut_seed % good.len() as u64) as usize;
         prop_assert!(
-            codec::decode_prepared_model(&good[..cut], key).is_err(),
+            codec::decode_suite(&good[..cut], key).is_err(),
             "a frame truncated to {} of {} bytes must be a clean miss on {}",
             cut, good.len(), src
         );
         prop_assert!(
-            codec::verify_frame(&good[..cut], pipeline::Stage::PrepareModel, key).is_err(),
+            codec::verify_frame(&good[..cut], pipeline::Stage::Testgen, key).is_err(),
             "the recovery scan must reject the same truncation"
         );
     }
@@ -132,11 +133,11 @@ proptest! {
     ) {
         let src = random_function(shape, 2);
         let f = parse_function(&src).expect("generated function parses");
-        let (good, key) = prepared_model_frame(&f);
+        let (good, key) = suite_frame(&f);
         let mut bad = good.clone();
         let at = (victim % bad.len() as u64) as usize;
         bad[at] ^= flip as u8; // flip != 0, so the frame genuinely changes
-        let decoded = codec::decode_prepared_model(&bad, key);
+        let decoded = codec::decode_suite(&bad, key);
         prop_assert!(
             decoded.is_err(),
             "corrupting byte {} of {} must not decode on {}",
@@ -179,21 +180,6 @@ proptest! {
         let back = codec::decode_bound(&bytes, key).expect("decode bound");
         prop_assert_eq!(&back.report, &staged.report);
         prop_assert_eq!(codec::encode_bound(&back), bytes);
-
-        // Prepared model (may be absent when no residual goal forced it —
-        // build it explicitly so the round-trip is always exercised).
-        let model = store.prepared_model(&f, &store.lowered(&f), &analysis.generator.checker);
-        let bytes = codec::encode_prepared_model(&model);
-        let back = codec::decode_prepared_model(&bytes, model.key).expect("decode model");
-        match (&model.shared, &back.shared) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.model(), b.model());
-                prop_assert_eq!(a.union(), b.union());
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "shared-model presence must round-trip on {}", src),
-        }
-        prop_assert_eq!(codec::encode_prepared_model(&back), bytes);
     }
 }
 
@@ -211,18 +197,18 @@ fn repair_digest(frame: &mut [u8]) {
 #[test]
 fn truncation_at_every_header_byte_boundary_is_a_clean_error() {
     let f = parse_function("void f(char a __range(0, 3)) { if (a > 1) { x(); } }").expect("parse");
-    let (good, key) = prepared_model_frame(&f);
+    let (good, key) = suite_frame(&f);
     // Every prefix is rejected without a panic — most importantly each of
     // the 24 header byte boundaries and each digest byte, where a sloppy
     // decoder would index past the end.
     for cut in 0..good.len() {
         assert!(
-            codec::decode_prepared_model(&good[..cut], key).is_err(),
+            codec::decode_suite(&good[..cut], key).is_err(),
             "a frame truncated to {cut} of {} bytes must not decode",
             good.len()
         );
         assert!(
-            codec::verify_frame(&good[..cut], pipeline::Stage::PrepareModel, key).is_err(),
+            codec::verify_frame(&good[..cut], pipeline::Stage::Testgen, key).is_err(),
             "the recovery scan must reject the truncation to {cut} bytes"
         );
     }
@@ -230,17 +216,16 @@ fn truncation_at_every_header_byte_boundary_is_a_clean_error() {
 
 #[test]
 fn a_zero_length_payload_is_a_valid_frame_but_a_clean_typed_miss() {
-    let frame = codec::encode_frame(pipeline::Stage::PrepareModel, 42, &[]);
+    let frame = codec::encode_frame(pipeline::Stage::Testgen, 42, &[]);
     // The frame layer round-trips an empty payload...
     assert_eq!(
-        codec::decode_frame(&frame, pipeline::Stage::PrepareModel, 42)
-            .expect("empty frame verifies"),
+        codec::decode_frame(&frame, pipeline::Stage::Testgen, 42).expect("empty frame verifies"),
         &[] as &[u8]
     );
-    assert!(codec::verify_frame(&frame, pipeline::Stage::PrepareModel, 42).is_ok());
+    assert!(codec::verify_frame(&frame, pipeline::Stage::Testgen, 42).is_ok());
     // ...but the typed decoder reports a malformed payload, never a panic.
     assert!(matches!(
-        codec::decode_prepared_model(&frame, 42),
+        codec::decode_suite(&frame, 42),
         Err(codec::CodecError::Malformed(_))
     ));
 }
@@ -248,7 +233,7 @@ fn a_zero_length_payload_is_a_valid_frame_but_a_clean_typed_miss() {
 #[test]
 fn a_declared_payload_length_beyond_the_frame_is_rejected() {
     let f = parse_function("void f(char a __range(0, 3)) { if (a > 1) { x(); } }").expect("parse");
-    let (good, key) = prepared_model_frame(&f);
+    let (good, key) = suite_frame(&f);
     let mut frame = good.clone();
     // Claim a payload far larger than the file and repair the digest, so
     // only the length check can reject the frame: a decoder trusting the
@@ -256,12 +241,12 @@ fn a_declared_payload_length_beyond_the_frame_is_rejected() {
     frame[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
     repair_digest(&mut frame);
     assert!(matches!(
-        codec::decode_prepared_model(&frame, key),
+        codec::decode_suite(&frame, key),
         Err(codec::CodecError::Malformed(
             "payload length disagrees with frame"
         ))
     ));
-    assert!(codec::verify_frame(&frame, pipeline::Stage::PrepareModel, key).is_err());
+    assert!(codec::verify_frame(&frame, pipeline::Stage::Testgen, key).is_err());
 
     // The under-declared twin: the length field claims less than the frame
     // holds.  Same clean rejection.
@@ -269,7 +254,7 @@ fn a_declared_payload_length_beyond_the_frame_is_rejected() {
     frame[16..24].copy_from_slice(&0u64.to_le_bytes());
     repair_digest(&mut frame);
     assert!(matches!(
-        codec::decode_prepared_model(&frame, key),
+        codec::decode_suite(&frame, key),
         Err(codec::CodecError::Malformed(
             "payload length disagrees with frame"
         ))
@@ -279,7 +264,7 @@ fn a_declared_payload_length_beyond_the_frame_is_rejected() {
 #[test]
 fn a_version_bump_invalidates_stored_frames() {
     let f = parse_function("void f(char a __range(0, 3)) { if (a > 1) { x(); } }").expect("parse");
-    let (good, key) = prepared_model_frame(&f);
+    let (good, key) = suite_frame(&f);
     let mut frame = good;
     // Patch the version field to a future codec and repair the digest so
     // *only* the version check can reject it.
@@ -294,7 +279,7 @@ fn a_version_bump_invalidates_stored_frames() {
     };
     frame[body_end..].copy_from_slice(&digest.to_le_bytes());
     assert!(matches!(
-        codec::decode_prepared_model(&frame, key),
+        codec::decode_suite(&frame, key),
         Err(codec::CodecError::VersionMismatch { found }) if found == next
     ));
 }

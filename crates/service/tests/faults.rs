@@ -51,14 +51,12 @@ fn controller() -> tmg_minic::Function {
     .expect("parse")
 }
 
-/// The stages whose artifacts are appended to the segment log (lowering
-/// and partitioning are memory-only): one append each per cold analysis.
-const PERSISTED: [Stage; 4] = [
-    Stage::PrepareModel,
-    Stage::Testgen,
-    Stage::Measure,
-    Stage::Bound,
-];
+/// The stages whose artifacts are appended to the segment log: one append
+/// each per cold analysis.
+const PERSISTED: [Stage; 3] = [Stage::Testgen, Stage::Measure, Stage::Bound];
+
+/// The memory-only stages: computed on a memory miss, never appended.
+const MEMORY_ONLY: [Stage; 3] = [Stage::Lower, Stage::Partition, Stage::PrepareModel];
 
 fn open_with(root: &Path, plan: FaultPlan) -> Arc<PersistentStore> {
     Arc::new(
@@ -307,13 +305,13 @@ fn a_crash_mid_compaction_leaves_only_bit_identical_duplicates() {
 #[test]
 fn a_mixed_fault_plan_still_yields_the_reference_bound() {
     let root = temp_root("mixed");
-    // Four appends per analysis (prepare-model, testgen, measure, bound):
-    // two torn, one durable-but-unindexed, one indexed normally.
-    let plan = FaultPlan::parse("torn_append:2,crash_after_publish:1").expect("parse");
+    // Three appends per analysis (testgen, measure, bound): one torn, one
+    // durable-but-unindexed, one indexed normally.
+    let plan = FaultPlan::parse("torn_append:1,crash_after_publish:1").expect("parse");
     let store = open_with(&root, plan);
     let first = analyse(&store);
     assert_eq!(first, reference());
-    assert_eq!(store.fault_shots_fired(), 3);
+    assert_eq!(store.fault_shots_fired(), 2);
     let stats = store.stats();
     assert_eq!(
         stats.disk_stage(Stage::Bound).stores,
@@ -322,15 +320,15 @@ fn a_mixed_fault_plan_still_yields_the_reference_bound() {
     );
     drop(store);
 
-    // Two torn tails quarantined, the durable-but-unindexed measure record
+    // The torn tail quarantined, the durable-but-unindexed measure record
     // recovered by the scan, and the normally indexed bound served warm.
     let fresh = open(&root);
     let report = fresh.recovery_scan();
-    assert_eq!(report.quarantined, 2, "{report:?}");
+    assert_eq!(report.quarantined, 1, "{report:?}");
     assert_eq!(
         report.scanned,
         PERSISTED.len() as u64,
-        "the scan sees all four records: two torn, two valid: {report:?}"
+        "the scan sees all three records: one torn, two valid: {report:?}"
     );
     assert_eq!(analyse(&fresh), reference());
     assert_eq!(fresh.stats().total_computes(), 0);
@@ -348,6 +346,14 @@ fn an_unarmed_plan_is_inert_and_counts_nothing() {
     for stage in STAGES {
         let expected = u64::from(PERSISTED.contains(&stage));
         assert_eq!(stats.disk_stage(stage).stores, expected, "stage {stage}");
+    }
+    for stage in MEMORY_ONLY {
+        let disk = stats.disk_stage(stage);
+        assert_eq!(
+            (disk.hits, disk.misses, disk.computes),
+            (0, 0, 1),
+            "memory-only stage {stage} computes once and never probes the log"
+        );
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,8 +1,8 @@
 //! Acceptance tests for the persistent artifact tier: a *fresh process's*
 //! analysis of an unchanged function must be served from disk — bit-identical
 //! bound, no model-checker or measurement work — with the disk-hit counters
-//! proving it.  Only prepare-model, testgen, measure and bound are persisted;
-//! lowering and partitioning are memory-only and recompute in a fresh
+//! proving it.  Only testgen, measure and bound are persisted; lowering,
+//! partitioning and prepare-model are memory-only and recompute in a fresh
 //! process when a persisted stage downstream of them misses.  A fresh [`PersistentStore`] over an existing cache
 //! directory is the in-test equivalent of a fresh process: it shares no
 //! memory with the store that wrote the frames, only the directory.
@@ -45,15 +45,10 @@ fn controller() -> tmg_minic::Function {
 }
 
 /// The stages whose artifacts are written to the segment log.
-const PERSISTED: [Stage; 4] = [
-    Stage::PrepareModel,
-    Stage::Testgen,
-    Stage::Measure,
-    Stage::Bound,
-];
+const PERSISTED: [Stage; 3] = [Stage::Testgen, Stage::Measure, Stage::Bound];
 
 /// The memory-only stages: never probed on disk, never appended.
-const MEMORY_ONLY: [Stage; 2] = [Stage::Lower, Stage::Partition];
+const MEMORY_ONLY: [Stage; 3] = [Stage::Lower, Stage::Partition, Stage::PrepareModel];
 
 /// The checker counters are process-wide and the harness runs tests on
 /// parallel threads: every analysing test holds this lock shared, and the
@@ -188,7 +183,7 @@ fn a_fresh_process_serves_the_bound_from_disk_with_zero_recomputation() {
 }
 
 #[test]
-fn a_new_bound_in_a_fresh_process_reuses_the_model_from_disk_and_relowers_in_memory() {
+fn a_new_bound_in_a_fresh_process_recomputes_the_model_and_relowers_in_memory() {
     let _analysing = analysing();
     let root = temp_root("partial-warm");
     let f = controller();
@@ -199,9 +194,10 @@ fn a_new_bound_in_a_fresh_process_reuses_the_model_from_disk_and_relowers_in_mem
         .expect("cold analysis");
     drop(cold_store);
 
-    // A different path bound in a fresh process: the prepared model comes
-    // from disk, lowering recomputes in memory without probing the log, and
-    // only the bound-dependent stages recompute.
+    // A different path bound in a fresh process: lowering and the prepared
+    // model recompute in memory without probing the log (test generation
+    // needs the model again anyway), and the bound-dependent stages
+    // recompute.
     let warm_store = open(&root);
     WcetAnalysis::new(100)
         .with_store(warm_store.clone())
@@ -215,11 +211,23 @@ fn a_new_bound_in_a_fresh_process_reuses_the_model_from_disk_and_relowers_in_mem
         (0, 0),
         "no disk probe for lower"
     );
-    assert_eq!(stats.disk_stage(Stage::PrepareModel).hits, 1);
-    assert_eq!(stats.disk_stage(Stage::PrepareModel).computes, 0);
+    let model = stats.disk_stage(Stage::PrepareModel);
     assert_eq!(
-        stats.segment.decoded_hits, 1,
-        "only the prepared model decodes an owned artifact"
+        model.computes, 1,
+        "prepare-model is memory-only: it recomputes"
+    );
+    assert_eq!(
+        (model.hits, model.misses),
+        (0, 0),
+        "no disk probe for prepare-model"
+    );
+    let decoded: u64 = [Stage::Testgen, Stage::Measure]
+        .iter()
+        .map(|&stage| stats.disk_stage(stage).hits)
+        .sum();
+    assert_eq!(
+        stats.segment.decoded_hits, decoded,
+        "only suite and campaign reads decode an owned artifact"
     );
     for stage in [
         Stage::Partition,
@@ -233,6 +241,92 @@ fn a_new_bound_in_a_fresh_process_reuses_the_model_from_disk_and_relowers_in_mem
             "stage {stage} depends on the bound and must recompute"
         );
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Writes a segment file holding one record, as the segment log lays it
+/// out: the 16-byte header, then the frame behind its `u32` length.
+fn write_segment(root: &Path, id: u64, frame: &[u8]) -> Vec<u8> {
+    use tmg_service::segment::{SEGMENT_EXT, SEGMENT_MAGIC, SEGMENT_VERSION};
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&SEGMENT_MAGIC);
+    bytes.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&[0, 0]);
+    bytes.extend_from_slice(&id.to_le_bytes());
+    bytes.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(frame);
+    let path = root
+        .join("segments")
+        .join(format!("seg-{id:016x}.{SEGMENT_EXT}"));
+    std::fs::write(path, &bytes).expect("write segment");
+    bytes
+}
+
+#[test]
+fn a_prepare_model_frame_from_an_older_build_is_kept_but_never_probed() {
+    let _analysing = analysing();
+    let root = temp_root("older-build");
+    let f = controller();
+    let cold_store = open(&root);
+    let cold = WcetAnalysis::new(2)
+        .with_store(cold_store.clone())
+        .analyse(&f)
+        .expect("cold analysis");
+    let cold_bytes = cold_store.stats().disk_bytes;
+    drop(cold_store);
+
+    // An older build also appended the prepared model, under the very key
+    // this build derives for it.  Its payload is never decoded, so any
+    // bytes stand in for the retired encoding.
+    let analysis = WcetAnalysis::new(100);
+    let function_key = tmg_core::pipeline::ArtifactStore::new()
+        .lowered(&f)
+        .function_key;
+    let key = tmg_core::pipeline::prepared_model_key(function_key, &analysis.generator.checker);
+    let frame =
+        tmg_service::codec::encode_frame(Stage::PrepareModel, key, b"retired model encoding");
+    let old_segment = write_segment(&root, 2, &frame);
+
+    // The store opens cleanly: the frame verifies, and its bytes are
+    // accounted like any other record's.
+    let store = open(&root);
+    let recovery = store.recovery_scan();
+    assert_eq!(recovery.quarantined, 0, "{recovery:?}");
+    assert_eq!(
+        store.stats().disk_bytes,
+        cold_bytes + old_segment.len() as u64,
+        "the older frame is accounted until eviction reclaims its segment"
+    );
+
+    // The bound is served from disk with nothing recomputed.
+    let warm = WcetAnalysis::new(2)
+        .with_store(store.clone())
+        .analyse(&f)
+        .expect("warm analysis");
+    assert_eq!(warm, cold);
+    assert_eq!(store.stats().total_computes(), 0);
+
+    // A new bound needs the model: it is recomputed in memory, and the
+    // older frame under its key is never probed.
+    let fresh = analysis
+        .with_store(store.clone())
+        .analyse(&f)
+        .expect("analysis at a new bound");
+    let plain = WcetAnalysis::new(100).analyse(&f).expect("storeless");
+    assert_eq!(fresh, plain);
+    let stats = store.stats();
+    let model = stats.disk_stage(Stage::PrepareModel);
+    assert_eq!(model.computes, 1);
+    assert_eq!(
+        (model.hits, model.misses, model.stores),
+        (0, 0, 0),
+        "prepare-model must never touch the log"
+    );
+    assert!(stats.disk_bytes > cold_bytes + old_segment.len() as u64);
+    drop(store);
+    let segment = std::fs::read(root.join("segments").join("seg-0000000000000002.tmgs"))
+        .expect("the older segment is still on disk");
+    assert_eq!(segment, old_segment, "its bytes are left untouched");
     let _ = std::fs::remove_dir_all(&root);
 }
 

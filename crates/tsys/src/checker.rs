@@ -810,38 +810,9 @@ pub struct SharedCheckModel {
 }
 
 impl SharedCheckModel {
-    /// Reassembles a shared model from its encoded parts — the
-    /// deserialization hook of the persistent artifact store.  The model
-    /// preparation (outgoing-transition index, pre-resolved expression pool)
-    /// is re-derived here, so the result behaves identically to the one
-    /// [`ModelChecker::prepare_shared`] originally built; only the
-    /// optimisation and encoding passes that produced `model` are skipped.
-    pub fn from_parts(
-        model: Model,
-        opt_report: OptReport,
-        union: HashSet<StmtId>,
-    ) -> SharedCheckModel {
-        SharedCheckModel {
-            prepared: OwnedPreparedModel::new(model),
-            opt_report,
-            union,
-        }
-    }
-
     /// The encoded transition-system model.
     pub fn model(&self) -> &Model {
         self.prepared.model()
-    }
-
-    /// What the source-level optimisation passes did.
-    pub fn opt_report(&self) -> &OptReport {
-        &self.opt_report
-    }
-
-    /// The preserve-set union the model was verified with (every query whose
-    /// statements fall inside it is covered).
-    pub fn union(&self) -> &HashSet<StmtId> {
-        &self.union
     }
 
     /// Whether the shared model is valid for `query` (every statement the
@@ -1397,43 +1368,6 @@ mod tests {
             result.stats.memory_estimate_bytes,
             result.stats.states_created * result.stats.state_bytes
         );
-    }
-
-    #[test]
-    fn from_parts_rebuilds_an_equivalent_shared_model() {
-        let src = r#"
-            void f(char a __range(0, 4), char b __range(0, 3)) {
-                if (a > 2) { x(); }
-                if (a < 1) { y(); }
-                if (b == 2) { z(); } else { w(); }
-            }
-        "#;
-        let (f, paths) = paths_of(src);
-        let queries: Vec<PathQuery> = paths
-            .iter()
-            .map(|p| PathQuery::new(p.decisions.clone()))
-            .collect();
-        let union: HashSet<StmtId> = queries
-            .iter()
-            .flat_map(|q| q.stmts().iter().copied())
-            .collect();
-        let mc = ModelChecker::new();
-        let original = mc.prepare_shared(&f, union).expect("shared model");
-        // Reassemble from the encoded parts, as the persistent store does
-        // after a disk round-trip.
-        let rebuilt = SharedCheckModel::from_parts(
-            original.model().clone(),
-            original.opt_report().clone(),
-            original.union().clone(),
-        );
-        assert_eq!(original.model(), rebuilt.model());
-        assert_eq!(original.opt_report(), rebuilt.opt_report());
-        assert_eq!(original.union(), rebuilt.union());
-        let via_original = mc.check_many_shared(&f, &original, &queries);
-        let via_rebuilt = mc.check_many_shared(&f, &rebuilt, &queries);
-        for (a, b) in via_original.iter().zip(&via_rebuilt) {
-            assert_eq!(a.outcome, b.outcome, "rebuilt model diverges");
-        }
     }
 
     #[test]
