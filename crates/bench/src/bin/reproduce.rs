@@ -344,6 +344,75 @@ fn run_loadtest(args: &[String]) {
     );
 }
 
+/// The module phase of the serve smoke: one session analyses the 50-function
+/// bench module, then a copy with one function edited.  The parse memo must
+/// serve the 49 unchanged functions, and every bound of the edited module
+/// must equal a storeless analysis of its whole-source parse.
+fn module_smoke(session: &dyn Fn(String) -> Vec<json::Value>) {
+    const PATH_BOUND: u128 = 8;
+    let module = tmg_codegen::generate_module(&tmg_codegen::ModuleGenConfig::bench());
+    // Edited by hand: `GeneratedModule::edited` would parse the copy in
+    // this process and warm the memo before the server sees it.
+    let edited = module
+        .source
+        .replacen("touch_f7();", "touch_f7(); smoke_edit_f7();", 1);
+    let request = |id: u64, source: &str| {
+        format!(
+            "{{\"id\": {id}, \"op\": \"analyse_module\", \"source\": \"{}\", \"path_bound\": {PATH_BOUND}}}",
+            json::escape(source)
+        )
+    };
+    let answers = session(format!(
+        "{}\n{{\"id\": 2, \"op\": \"stats\"}}\n{}\n{{\"id\": 4, \"op\": \"stats\"}}\n{{\"id\": 5, \"op\": \"shutdown\"}}\n",
+        request(1, &module.source),
+        request(3, &edited)
+    ));
+    let memo_hits = |answer: &json::Value| {
+        answer
+            .get("stats")
+            .and_then(|s| s.get("parse"))
+            .and_then(|p| p.get("memo_hits"))
+            .and_then(json::Value::as_u64)
+            .expect("parse memo hits")
+    };
+    let hits = memo_hits(&answers[3]) - memo_hits(&answers[1]);
+    assert!(
+        hits >= 49,
+        "the edited module must reuse the 49 unchanged functions, got {hits} memo hits"
+    );
+    let served: Vec<(String, u64)> = answers[2]
+        .get("summaries")
+        .and_then(json::Value::as_array)
+        .unwrap_or_else(|| panic!("analyse_module failed: {:?}", answers[2]))
+        .iter()
+        .map(|s| {
+            let name = s.get("function").and_then(json::Value::as_str);
+            let bound = s.get("wcet_bound").and_then(json::Value::as_u64);
+            (
+                name.expect("function").to_owned(),
+                bound.expect("wcet_bound"),
+            )
+        })
+        .collect();
+    let program = tmg_minic::parse_whole(&edited).expect("the edited module parses");
+    let direct = tmg_core::ModuleAnalysis::new(PATH_BOUND)
+        .analyse_module(&program)
+        .expect("storeless module analysis");
+    let expected: Vec<(String, u64)> = direct
+        .summaries
+        .iter()
+        .map(|s| (s.function.clone(), s.wcet_bound))
+        .collect();
+    assert_eq!(
+        served, expected,
+        "the edited module's bounds must equal a whole-source analysis"
+    );
+    println!(
+        "module smoke: an edited 50-function module reused {hits} parsed functions; its {} bounds equal a whole-source analysis — ok",
+        served.len()
+    );
+}
+
 /// The CI smoke: a cold session populates a scratch cache, a *fresh* server
 /// session over the same directory must answer the identical bound from
 /// disk with zero stage recomputation.
@@ -427,7 +496,9 @@ fn run_serve_smoke() {
         Some("tmg-obs-stats/v1"),
         "stats must carry the unified snapshot schema: {stats:?}"
     );
-    for group in ["memory", "checker", "module", "segments", "latency", "disk"] {
+    for group in [
+        "memory", "checker", "module", "parse", "segments", "latency", "disk",
+    ] {
         assert!(
             stats.get(group).is_some(),
             "stats is missing its `{group}` group: {stats:?}"
@@ -456,6 +527,7 @@ fn run_serve_smoke() {
     println!(
         "serve smoke: cold and warm sessions agree on wcet_bound = {wcet} cycles; warm run: 0 recomputations, {bound_hits} disk bound hit(s) — ok"
     );
+    module_smoke(&|script| session(script, FaultPlan::none()).0);
 
     // Multi-process phase: a true second OS process (this binary, re-spawned
     // with `serve --smoke-child`) opens the same cache directory and must

@@ -26,10 +26,10 @@
 //! * **warm restart** — the restarted server does no model-checker or
 //!   measurement work: its final `stats` snapshot reports zero
 //!   prepare-model, testgen, measure and bound computes and zero checker
-//!   states explored — every test suite, campaign and bound was served
-//!   from the segment log the reference phase sealed, so the memory-only
-//!   prepared model is never needed.  (Lowering and partitioning are
-//!   memory-only too, so a restarted `sweep` legitimately re-lowers.)
+//!   states explored — every bound was served from the segment log the
+//!   reference phase sealed, so the memory-only prepared model and
+//!   measurement campaign are never needed.  (Lowering and partitioning
+//!   are memory-only too, so a restarted `sweep` legitimately re-lowers.)
 //! * **every wire fault kind fired** — the restarted server's
 //!   `resilience.wire_faults` counters are all non-zero (the harness
 //!   burns extra deliveries after the mix until the armed shots fire).
@@ -52,9 +52,9 @@ use crate::loadtest::HOT_SOURCE;
 pub const WIRE_PLAN: &str = "conn_drop:2,stall_ms:2,torn_frame:2,dup_delivery:2";
 
 /// The stages whose computation is model-checker or measurement work.
-/// Testgen, measure and bound are persisted in the segment log; the
-/// memory-only prepare-model stage runs only when testgen computes, so a
-/// warm restart computes none of the four.
+/// Testgen and bound are persisted in the segment log; the memory-only
+/// prepare-model and measure stages run only below a bound miss, so a warm
+/// restart computes none of the four.
 const CHECKER_AND_MEASURE_STAGES: [Stage; 4] = [
     Stage::PrepareModel,
     Stage::Testgen,

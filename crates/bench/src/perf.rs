@@ -1504,7 +1504,10 @@ mod tests {
     #[test]
     fn recovery_scan_measurement_is_healthy_on_a_clean_cache() {
         let rec = measure_service_recovery();
-        assert_eq!(rec.frames, 3, "one frame per persisted stage");
+        assert_eq!(
+            rec.frames, 2,
+            "one frame per persisted stage: testgen and bound"
+        );
         assert_eq!(rec.quarantined, 0);
         assert!(rec.healthy, "post-scan warm path must be bit-identical");
     }

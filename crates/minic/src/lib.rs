@@ -39,6 +39,7 @@
 pub mod ast;
 pub mod interp;
 pub mod lexer;
+pub mod memo;
 pub mod parser;
 pub mod pretty;
 pub mod sema;
@@ -60,6 +61,26 @@ pub use value::Value;
 /// and the semantic analysis pass and returns a checked [`Program`] whose
 /// statements carry stable [`StmtId`]s.
 ///
+/// # Incremental parsing
+///
+/// A source of two or more functions goes through the process-wide
+/// per-function parse [`memo`]: the source is split after each top-level
+/// function, and only a function text not seen before is lexed, parsed and
+/// checked on its own.  Known functions are cloned from the memo with
+/// their lines moved to where they now stand, statement ids are
+/// renumbered across the program, and the cross-function rules (unique
+/// names, argument counts of calls to defined functions) run on the whole.
+/// The result equals the whole-source parse, ids and lines included.
+/// Whenever the memo cannot vouch for that (the braces do not balance, a
+/// chunk is not exactly one valid function, or a cross-function rule
+/// fails), the whole source is lexed, parsed and checked in one go, so
+/// every error is the one the whole-source path reports.  A single-function
+/// source always takes the whole-source path and is never remembered.
+///
+/// The memo holds at most [`memo::MEMO_BYTES`], charging each function
+/// eight bytes per byte of its text (the text plus its AST); beyond that,
+/// the least recently used functions are forgotten.
+///
 /// # Errors
 ///
 /// Returns [`Error::Lex`], [`Error::Parse`] or [`Error::Sema`] when the source
@@ -73,6 +94,20 @@ pub use value::Value;
 /// # Ok::<(), tmg_minic::Error>(())
 /// ```
 pub fn parse_program(source: &str) -> Result<Program> {
+    match memo::parse(source) {
+        Some(program) => Ok(program),
+        None => parse_whole(source),
+    }
+}
+
+/// The whole-source path of [`parse_program`]: lex, parse and check the
+/// entire text in one go, without the memo.  It is the reference the
+/// memo's results are tested against.
+///
+/// # Errors
+///
+/// Same as [`parse_program`].
+pub fn parse_whole(source: &str) -> Result<Program> {
     let tokens = lexer::lex(source)?;
     let mut program = parser::Parser::new(tokens).parse_program()?;
     sema::check_program(&mut program)?;

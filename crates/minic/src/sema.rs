@@ -50,7 +50,11 @@ pub fn check_program(program: &mut Program) -> Result<()> {
     Ok(())
 }
 
-fn check_function(function: &Function, defined: &HashMap<String, usize>) -> Result<()> {
+/// Checks one function against the argument counts of the `defined`
+/// functions.  With no functions defined, this is every rule of
+/// [`check_program`] but the two that span functions: unique function
+/// names and the argument count of calls to defined functions.
+pub(crate) fn check_function(function: &Function, defined: &HashMap<String, usize>) -> Result<()> {
     let mut vars: HashSet<&str> = HashSet::new();
     for decl in function.decls() {
         if !vars.insert(decl.name.as_str()) {

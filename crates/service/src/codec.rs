@@ -1,9 +1,9 @@
 //! Hand-rolled versioned binary codec for the persisted pipeline artifacts.
 //!
-//! Every artifact [`crate::store`] writes to disk — [`SuiteArtifact`],
-//! [`CampaignArtifact`] and [`BoundArtifact`] — round-trips through a
-//! self-describing binary frame so the on-disk cache can serve a *different
-//! process's* artifacts.  Lowering, partition and prepared-model artifacts
+//! Every artifact [`crate::store`] writes to disk — [`SuiteArtifact`] and
+//! [`BoundArtifact`] — round-trips through a self-describing binary frame
+//! so the on-disk cache can serve a *different process's* artifacts.
+//! Lowering, partition, prepared-model and measurement-campaign artifacts
 //! are never persisted (their frames cost more than they save), so they
 //! have no codec; their stage tags stay reserved in the frame header, and
 //! frames an older build wrote under them still verify but are never
@@ -39,10 +39,9 @@
 
 use std::hash::Hasher as _;
 use tmg_cfg::{BlockId, PathSpec, StableHasher};
-use tmg_core::pipeline::{BoundArtifact, CampaignArtifact, Stage, SuiteArtifact, STAGES};
+use tmg_core::pipeline::{BoundArtifact, Stage, SuiteArtifact, STAGES};
 use tmg_core::{
-    AnalysisReport, CoverageGoal, CoverageStatus, GeneratorKind, GoalKind, MeasurementCampaign,
-    SegmentId, SegmentTiming, TestSuite,
+    AnalysisReport, CoverageGoal, CoverageStatus, GeneratorKind, GoalKind, SegmentId, TestSuite,
 };
 use tmg_minic::interp::BranchChoice;
 use tmg_minic::value::InputVector;
@@ -496,65 +495,6 @@ pub fn decode_suite(bytes: &[u8], key: u64) -> Result<SuiteArtifact> {
 }
 
 // ---------------------------------------------------------------------------
-// Measurement campaign
-// ---------------------------------------------------------------------------
-
-fn enc_timing(e: &mut Enc, t: &SegmentTiming) {
-    e.u32(t.segment.0);
-    e.usize(t.samples.len());
-    for s in &t.samples {
-        e.u64(*s);
-    }
-    e.u64(t.max_observed);
-    e.u64(t.static_estimate);
-}
-
-fn dec_timing(d: &mut Dec<'_>) -> Result<SegmentTiming> {
-    let segment = SegmentId(d.u32()?);
-    let n = d.seq_len()?;
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        samples.push(d.u64()?);
-    }
-    let max_observed = d.u64()?;
-    let static_estimate = d.u64()?;
-    Ok(SegmentTiming {
-        segment,
-        samples,
-        max_observed,
-        static_estimate,
-    })
-}
-
-/// Encodes a measurement-campaign artifact.
-pub fn encode_campaign(artifact: &CampaignArtifact) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.usize(artifact.campaign.timings.len());
-    for t in &artifact.campaign.timings {
-        enc_timing(&mut e, t);
-    }
-    e.usize(artifact.campaign.runs);
-    encode_frame(Stage::Measure, artifact.key, &e.buf)
-}
-
-/// Decodes a measurement-campaign artifact.
-pub fn decode_campaign(bytes: &[u8], key: u64) -> Result<CampaignArtifact> {
-    let payload = decode_frame(bytes, Stage::Measure, key)?;
-    let mut d = Dec::new(payload);
-    let n = d.seq_len()?;
-    let mut timings = Vec::with_capacity(n);
-    for _ in 0..n {
-        timings.push(dec_timing(&mut d)?);
-    }
-    let runs = d.usize()?;
-    d.finish()?;
-    Ok(CampaignArtifact {
-        key,
-        campaign: MeasurementCampaign { timings, runs },
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Analysis report (the bound artifact)
 // ---------------------------------------------------------------------------
 
@@ -687,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn suite_campaign_bound_round_trip() {
+    fn suite_and_bound_round_trip() {
         let (store, f) = artifacts();
         let analysis = WcetAnalysis::new(3);
         let staged =
@@ -696,11 +636,6 @@ mod tests {
         let s_back = decode_suite(&s, staged.suite.key).expect("suite");
         assert_eq!(s_back.suite, staged.suite.suite);
         assert_eq!(encode_suite(&s_back), s);
-
-        let c = encode_campaign(&staged.campaign);
-        let c_back = decode_campaign(&c, staged.campaign.key).expect("campaign");
-        assert_eq!(c_back.campaign, staged.campaign.campaign);
-        assert_eq!(encode_campaign(&c_back), c);
 
         let key = pipeline::bound_key(&analysis, tmg_cfg::function_fingerprint(&f), None);
         let bound = tmg_core::pipeline::BoundArtifact {
@@ -775,7 +710,7 @@ mod tests {
         ));
         // Kind.
         assert!(matches!(
-            decode_campaign(&good, key),
+            decode_bound(&good, key),
             Err(CodecError::KindMismatch { .. })
         ));
         // Key.

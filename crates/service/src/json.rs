@@ -15,7 +15,6 @@
 //! top-level members come back in a flat list and strings without escapes
 //! borrow from the line instead of being copied.
 
-use rustc_hash::FxHashMap;
 use std::borrow::Cow;
 
 /// Deepest array/object nesting [`parse`] accepts; deeper input is a
@@ -38,16 +37,34 @@ pub enum Value {
     Str(String),
     /// An array.
     Array(Vec<Value>),
-    /// An object (insertion order is not preserved; the protocol never
-    /// depends on it).
-    Object(FxHashMap<String, Value>),
+    /// An object.
+    Object(Object),
+}
+
+/// The members of a JSON object, in input order.  A repeated key keeps
+/// every occurrence and lookups see the last one.  The member names come
+/// from clients, so there is no hash map to flood with colliding keys:
+/// parsing is linear in the object, and a lookup scans it once.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Object(Vec<(String, Value)>);
+
+impl Object {
+    /// The value of the last member named `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Member names in input order, repeats included.
+    pub fn keys(&self) -> impl Iterator<Item = &String> {
+        self.0.iter().map(|(k, _)| k)
+    }
 }
 
 impl Value {
     /// Member of an object, if this is an object and the key is present.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Object(map) => map.get(key),
+            Value::Object(object) => object.get(key),
             _ => None,
         }
     }
@@ -244,13 +261,13 @@ fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Value, Pars
     }
     match c {
         b'{' => {
-            let mut map = FxHashMap::default();
+            let mut members = Vec::new();
             parse_object_with(input, pos, |key, pos| {
                 let value = parse_value(input, pos, depth + 1)?;
-                map.insert(key.into_owned(), value);
+                members.push((key.into_owned(), value));
                 Ok(())
             })?;
-            Ok(Value::Object(map))
+            Ok(Value::Object(Object(members)))
         }
         b'[' => parse_array(input, pos, depth + 1),
         b'"' => Ok(Value::Str(parse_string(input, pos)?.into_owned())),
@@ -608,6 +625,36 @@ mod tests {
             Some("void f() { }")
         );
         assert!(members.get("plain").is_none());
+    }
+
+    #[test]
+    fn the_last_of_a_repeated_key_wins_in_nested_objects() {
+        let v = parse(
+            r#"{"outer": {"k": 1, "inner": {"x": "a", "x": "b"}, "k": 2}, "outer": {"k": 3, "k": 4}}"#,
+        )
+        .expect("parse");
+        let outer = v.get("outer").expect("outer");
+        assert_eq!(outer.get("k").and_then(Value::as_u64), Some(4));
+        let Value::Object(object) = &v else {
+            panic!("an object")
+        };
+        assert_eq!(object.keys().collect::<Vec<_>>(), ["outer", "outer"]);
+        let first = match &object.0[0].1 {
+            Value::Object(first) => first,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(first.get("k").and_then(Value::as_u64), Some(2));
+        assert_eq!(
+            first
+                .get("inner")
+                .and_then(|i| i.get("x"))
+                .and_then(Value::as_str),
+            Some("b")
+        );
+        // Many repeats of one key parse in linear time and keep the last.
+        let many: String = (0..20_000).map(|i| format!("\"k\": {i}, ")).collect();
+        let v = parse(&format!("{{\"o\": {{{many}\"k\": -1}}}}")).expect("parse");
+        assert_eq!(v.get("o").and_then(|o| o.get("k")), Some(&Value::Int(-1)));
     }
 
     #[test]

@@ -90,12 +90,62 @@ pub const COMPACT_LIVE_RATIO: f64 = 0.5;
 /// Arena buffers kept for reuse by the read path.
 const ARENA_POOL_CAP: usize = 8;
 
-/// Where one live frame lives.
+/// Where one live frame lives: segment id, record offset and frame length.
+/// Segment ids and record offsets fit `u32` (segment files are at most
+/// `u32::MAX` bytes, and ids beyond `u32::MAX` are never loaded), so a
+/// location is 12 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Loc {
-    seg: u64,
-    off: u64,
+    seg: u32,
+    off: u32,
     len: u32,
+}
+
+impl Loc {
+    /// The location of a record, `None` when its segment id or offset does
+    /// not fit `u32`: such a record is never indexed, so it is a clean miss.
+    fn new(seg: u64, off: u64, len: u32) -> Option<Loc> {
+        Some(Loc {
+            seg: u32::try_from(seg).ok()?,
+            off: u32::try_from(off).ok()?,
+            len,
+        })
+    }
+
+    fn seg(&self) -> u64 {
+        u64::from(self.seg)
+    }
+
+    fn off(&self) -> u64 {
+        u64::from(self.off)
+    }
+
+    /// Record bytes: the length prefix plus the frame.
+    fn record_len(&self) -> u64 {
+        RECORD_PREFIX_LEN + u64::from(self.len)
+    }
+}
+
+/// An artifact key held as two `u32` halves, so a map entry (key and
+/// [`Loc`]) packs into 20 bytes at 4-byte alignment instead of 32 at 8.  It
+/// hashes as the one `u64` it stands for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key([u32; 2]);
+
+impl Key {
+    fn new(key: u64) -> Key {
+        Key([key as u32, (key >> 32) as u32])
+    }
+
+    fn get(self) -> u64 {
+        u64::from(self.0[0]) | u64::from(self.0[1]) << 32
+    }
+}
+
+impl std::hash::Hash for Key {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.get());
+    }
 }
 
 /// A writer that hashes every byte it passes on, for the snapshot digest.
@@ -117,23 +167,24 @@ impl<W: io::Write> io::Write for DigestWriter<'_, W> {
 }
 
 /// The live-frame index, `(stage, key) → Loc`, kept as one map per stage.
-/// A bare `u64` key makes every entry 8 bytes smaller than a `(u8, u64)`
-/// tuple key, and the stage maps grow (and rehash) one at a time: the index
-/// is the only memory that grows with the number of persisted artifacts.
+/// The stage is implied by the map, and a [`Key`] with a [`Loc`] is 20
+/// bytes, so a bucket with its control byte is 21 bytes; the stage maps
+/// grow (and rehash) one at a time.  The index is the only memory that
+/// grows with the number of persisted artifacts.
 #[derive(Default)]
-struct Index([FxHashMap<u64, Loc>; STAGES.len()]);
+struct Index([FxHashMap<Key, Loc>; STAGES.len()]);
 
 impl Index {
     fn get(&self, &(stage, key): &(u8, u64)) -> Option<&Loc> {
-        self.0[usize::from(stage)].get(&key)
+        self.0[usize::from(stage)].get(&Key::new(key))
     }
 
     fn insert(&mut self, (stage, key): (u8, u64), loc: Loc) -> Option<Loc> {
-        self.0[usize::from(stage)].insert(key, loc)
+        self.0[usize::from(stage)].insert(Key::new(key), loc)
     }
 
     fn remove(&mut self, &(stage, key): &(u8, u64)) -> Option<Loc> {
-        self.0[usize::from(stage)].remove(&key)
+        self.0[usize::from(stage)].remove(&Key::new(key))
     }
 
     fn len(&self) -> usize {
@@ -143,7 +194,7 @@ impl Index {
     fn iter(&self) -> impl Iterator<Item = ((u8, u64), &Loc)> {
         (0u8..)
             .zip(&self.0)
-            .flat_map(|(stage, map)| map.iter().map(move |(key, loc)| ((stage, *key), loc)))
+            .flat_map(|(stage, map)| map.iter().map(move |(key, loc)| ((stage, key.get()), loc)))
     }
 
     fn values(&self) -> impl Iterator<Item = &Loc> {
@@ -193,8 +244,8 @@ struct LogState {
 
 impl LogState {
     fn mark_dead(&mut self, loc: &Loc) {
-        if let Some(info) = self.segments.get_mut(&loc.seg) {
-            let n = RECORD_PREFIX_LEN + u64::from(loc.len);
+        if let Some(info) = self.segments.get_mut(&loc.seg()) {
+            let n = loc.record_len();
             info.live = info.live.saturating_sub(n);
             info.dead += n;
         }
@@ -325,7 +376,9 @@ impl SegmentLog {
         Ok(SegmentLog {
             seg_dir,
             budget: options.budget,
-            segment_bytes: options.segment_bytes.max(SEGMENT_HEADER_LEN + 64),
+            segment_bytes: options
+                .segment_bytes
+                .clamp(SEGMENT_HEADER_LEN + 64, u64::from(u32::MAX)),
             window: Duration::from_millis(options.group_commit_window_ms),
             window_ms: options.group_commit_window_ms,
             faults: options.faults,
@@ -491,11 +544,10 @@ impl SegmentLog {
         info.len += rec_len;
         info.live += rec_len;
         state.total_bytes += rec_len;
-        let loc = Loc {
-            seg: active_id,
-            off,
-            len: frame.len() as u32,
-        };
+        // The rotation above keeps every record offset below
+        // `segment_bytes <= u32::MAX`, and ids past `u32::MAX` are never
+        // claimed.
+        let loc = Loc::new(active_id, off, frame.len() as u32).expect("offset and id fit u32");
         if let Some(old) = state.index.insert((stage.index() as u8, key), loc) {
             state.mark_dead(&old);
         }
@@ -531,6 +583,9 @@ impl SegmentLog {
         }
         let mut id = state.segments.keys().max().copied().unwrap_or(0) + 1;
         let file = loop {
+            if id > u64::from(u32::MAX) {
+                return false;
+            }
             let lock = self.lock_path(id);
             match OpenOptions::new().write(true).create_new(true).open(&lock) {
                 Ok(mut lock_file) => {
@@ -636,24 +691,24 @@ impl SegmentLog {
             let mut guard = self.state_guard();
             let state = guard.as_mut().expect("loaded");
             let loc = *state.index.get(&(stage.index() as u8, key))?;
-            match self.reader_locked(state, loc.seg) {
+            match self.reader_locked(state, loc.seg()) {
                 Some(file) => (loc, file),
                 None => {
                     // The segment vanished (evicted or truncated by a peer):
                     // every entry pointing at it is now a clean miss.
-                    self.drop_segment_locked(state, loc.seg, false);
+                    self.drop_segment_locked(state, loc.seg(), false);
                     return None;
                 }
             }
         };
-        let len = (RECORD_PREFIX_LEN + u64::from(loc.len)) as usize;
+        let len = loc.record_len() as usize;
         let mut buf = {
             let mut pool = self.arena.lock().expect("arena");
             pool.pop().unwrap_or_default()
         };
         buf.clear();
         buf.resize(len, 0);
-        if file.read_exact_at(&mut buf, loc.off).is_err() {
+        if file.read_exact_at(&mut buf, loc.off()).is_err() {
             self.discard(stage, key, &CodecError::Malformed("unreadable record"));
             return None;
         }
@@ -743,7 +798,7 @@ impl SegmentLog {
         let doomed: Vec<(u8, u64)> = state
             .index
             .iter()
-            .filter(|(_, loc)| loc.seg == id)
+            .filter(|(_, loc)| loc.seg() == id)
             .map(|(k, _)| k)
             .collect();
         for key in doomed {
@@ -826,7 +881,7 @@ impl SegmentLog {
         let mut entries: Vec<((u8, u64), Loc)> = state
             .index
             .iter()
-            .filter(|(_, loc)| loc.seg == victim)
+            .filter(|(_, loc)| loc.seg() == victim)
             .map(|(k, loc)| (k, *loc))
             .collect();
         entries.sort_by_key(|(_, loc)| loc.off);
@@ -836,8 +891,8 @@ impl SegmentLog {
                 return true;
             };
             for (key, loc) in entries {
-                let mut buf = vec![0u8; (RECORD_PREFIX_LEN + u64::from(loc.len)) as usize];
-                if reader.read_exact_at(&mut buf, loc.off).is_err()
+                let mut buf = vec![0u8; loc.record_len() as usize];
+                if reader.read_exact_at(&mut buf, loc.off()).is_err()
                     || codec::parse_frame(&buf[RECORD_PREFIX_LEN as usize..]).is_err()
                 {
                     // Unreadable under compaction = unreadable to a reader:
@@ -896,8 +951,8 @@ impl SegmentLog {
         for ((stage, key), loc) in state.index.iter() {
             out.write_all(&[stage])?;
             out.write_all(&key.to_le_bytes())?;
-            out.write_all(&loc.seg.to_le_bytes())?;
-            out.write_all(&loc.off.to_le_bytes())?;
+            out.write_all(&loc.seg().to_le_bytes())?;
+            out.write_all(&loc.off().to_le_bytes())?;
             out.write_all(&loc.len.to_le_bytes())?;
         }
         let digest = std::hash::Hasher::finish(&out.hasher);
@@ -905,7 +960,9 @@ impl SegmentLog {
     }
 
     /// Parses an index snapshot; `None` means torn/foreign/corrupt, which
-    /// degrades to a scan rebuild.
+    /// degrades to a scan rebuild.  The format stores segment ids and
+    /// offsets as `u64`; an entry whose values do not fit a [`Loc`] is
+    /// dropped (a clean miss).
     #[allow(clippy::type_complexity)]
     fn parse_index(bytes: &[u8]) -> Option<(Vec<(u64, u64, bool)>, Vec<((u8, u64), Loc)>)> {
         if bytes.len() < 8 + 8 || bytes[0..4] != INDEX_MAGIC {
@@ -950,7 +1007,9 @@ impl SegmentLog {
             let seg = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
             let off = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
             let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-            entries.push(((stage, key), Loc { seg, off, len }));
+            if let Some(loc) = Loc::new(seg, off, len) {
+                entries.push(((stage, key), loc));
+            }
         }
         if pos != body_end {
             return None;
@@ -1007,7 +1066,9 @@ impl SegmentLog {
 
     // -- load / scan / recovery --------------------------------------------
 
-    /// Segment files on disk, as `(id, physical_len)`.
+    /// Segment files on disk, as `(id, physical_len)`.  A file whose id
+    /// exceeds `u32::MAX` is not one this log writes: it is left alone and
+    /// never loaded, so it cannot alias the segment its truncated id names.
     fn list_segments(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let Ok(entries) = fs::read_dir(&self.seg_dir) else {
@@ -1023,6 +1084,7 @@ impl SegmentLog {
                 .and_then(|s| s.to_str())
                 .and_then(|s| s.strip_prefix("seg-"))
                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                .filter(|&id| id <= u64::from(u32::MAX))
             else {
                 continue;
             };
@@ -1105,8 +1167,9 @@ impl SegmentLog {
                 if let Ok(file) = File::open(self.segment_path(*id)) {
                     let (found, valid_end, _) = Self::scan_records(&file, watermark, *file_len);
                     for (stage, key, off, len) in found {
-                        let loc = Loc { seg: *id, off, len };
-                        state.index.insert((stage.index() as u8, key), loc);
+                        if let Some(loc) = Loc::new(*id, off, len) {
+                            state.index.insert((stage.index() as u8, key), loc);
+                        }
                     }
                     accounted = valid_end;
                 }
@@ -1131,16 +1194,16 @@ impl SegmentLog {
         let segments = std::mem::take(&mut state.segments);
         state.index.retain(|loc| {
             segments
-                .get(&loc.seg)
-                .is_some_and(|info| loc.off + RECORD_PREFIX_LEN + u64::from(loc.len) <= info.len)
+                .get(&loc.seg())
+                .is_some_and(|info| loc.off() + loc.record_len() <= info.len)
         });
         state.segments = segments;
         for info in state.segments.values_mut() {
             info.live = 0;
         }
         for loc in state.index.values() {
-            if let Some(info) = state.segments.get_mut(&loc.seg) {
-                info.live += RECORD_PREFIX_LEN + u64::from(loc.len);
+            if let Some(info) = state.segments.get_mut(&loc.seg()) {
+                info.live += loc.record_len();
             }
         }
         state.total_bytes = 0;
@@ -1200,8 +1263,9 @@ impl SegmentLog {
                 }
             }
             for (stage, key, off, len) in found {
-                let loc = Loc { seg: id, off, len };
-                state.index.insert((stage.index() as u8, key), loc);
+                if let Some(loc) = Loc::new(id, off, len) {
+                    state.index.insert((stage.index() as u8, key), loc);
+                }
             }
             state.segments.insert(
                 id,
@@ -1285,5 +1349,43 @@ impl std::fmt::Debug for SegmentLog {
             .field("budget", &self.budget)
             .field("segment_bytes", &self.segment_bytes)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_index_entry_is_twenty_bytes_and_hashes_as_its_key() {
+        assert_eq!(std::mem::size_of::<(Key, Loc)>(), 20);
+        assert_eq!(std::mem::align_of::<(Key, Loc)>(), 4);
+        let hash = |h: &dyn Fn(&mut rustc_hash::FxHasher)| {
+            let mut hasher = rustc_hash::FxHasher::default();
+            h(&mut hasher);
+            std::hash::Hasher::finish(&hasher)
+        };
+        for key in [
+            0,
+            1,
+            u64::from(u32::MAX),
+            1 << 32,
+            u64::MAX,
+            0x0123_4567_89AB_CDEF,
+        ] {
+            assert_eq!(Key::new(key).get(), key);
+            assert_eq!(
+                hash(&|h| std::hash::Hash::hash(&Key::new(key), h)),
+                hash(&|h| std::hash::Hash::hash(&key, h))
+            );
+        }
+    }
+
+    #[test]
+    fn a_location_beyond_u32_is_not_indexed() {
+        let max = u64::from(u32::MAX);
+        assert!(Loc::new(max, max, 7).is_some());
+        assert_eq!(Loc::new(max + 1, 16, 7), None);
+        assert_eq!(Loc::new(1, max + 1, 7), None);
     }
 }

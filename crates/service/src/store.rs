@@ -15,16 +15,20 @@
 //! 3. **compute** — the stage function itself; the result is inserted into
 //!    memory and, for a persisted stage, appended to the log.
 //!
-//! Only the stages whose frame pays for its write are persisted: testgen,
-//! measure and bound.  Lowering and partitioning are cheap linear passes
-//! over the source (decoding a lowering frame costs more than
-//! re-lowering), and the prepared checker model is read back only when a
-//! fresh process analyses a known function at a new path bound — a run
-//! that regenerates its tests anyway — while its frame was over half the
-//! bytes every cold analysis appended.  These three stages live in the
-//! memory tier only and never probe or append to the log; their per-stage
-//! disk counters stay zero.  This is a fixed policy, not a configuration
-//! knob.
+//! Only the stages whose frame pays for its write are persisted: testgen
+//! and bound.  Lowering and partitioning are cheap linear passes over the
+//! source (decoding a lowering frame costs more than re-lowering).  The
+//! prepared checker model is read back only when a fresh process analyses
+//! a known function at a new path bound — a run that regenerates its tests
+//! anyway — while its frame was over half the bytes every cold analysis
+//! appended.  A measurement campaign is keyed by (suite, cost model) and a
+//! bound by (function, path bound, generator, cost model, input space), so
+//! a campaign frame would be read only when the bound frame of the same
+//! tuple is missing: for an exhaustive input space no service request can
+//! supply, or after the bound append was lost.  These four stages live in
+//! the memory tier only and never probe or append to the log; their
+//! per-stage disk counters stay zero.  This is a fixed policy, not a
+//! configuration knob.
 //!
 //! The disk tier is bounded by a byte budget with segment-granular eviction
 //! and live-ratio compaction; durability is group commit (see the segment
@@ -112,7 +116,8 @@ impl TierStats {
     /// Renders the snapshot as one JSON object (hand-written; schema
     /// `tmg-obs-stats/v1`), embedding the memory tier's
     /// [`StoreStats::to_json`] output, the unified metrics registry's
-    /// `checker` and `module` groups and the segment-tier counters, so
+    /// `checker`, `module` and `parse` (the mini-C parse memo) groups and
+    /// the segment-tier counters, so
     /// perf work on both the checker and the storage engine stays
     /// observable through the service `stats` op.  Every top-level key of
     /// the predecessor `tmg-tier-stats/v1` schema is preserved (asserted
@@ -142,16 +147,18 @@ impl TierStats {
         tmg_tsys::metrics::register();
         tmg_core::module::metrics::register();
         let registry = tmg_obs::registry();
+        registry.register_counters("parse", None, tmg_minic::memo::counters());
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{ \"schema\": \"tmg-obs-stats/v1\", \"computes\": {}, \"disk_bytes\": {}, \"disk_budget\": {}, \"memory\": {}, \"checker\": {}, \"module\": {}, ",
+            "{{ \"schema\": \"tmg-obs-stats/v1\", \"computes\": {}, \"disk_bytes\": {}, \"disk_budget\": {}, \"memory\": {}, \"checker\": {}, \"module\": {}, \"parse\": {}, ",
             self.total_computes(),
             self.disk_bytes,
             self.disk_budget,
             self.memory.to_json(),
             registry.group_json("checker").expect("checker registered"),
-            registry.group_json("module").expect("module registered")
+            registry.group_json("module").expect("module registered"),
+            registry.group_json("parse").expect("parse registered")
         );
         let s = &self.segment;
         let _ = write!(
@@ -237,7 +244,9 @@ impl PersistentStoreConfig {
         self
     }
 
-    /// Overrides the active-segment rotation threshold.
+    /// Overrides the active-segment rotation threshold.  The log clamps
+    /// it to at most `u32::MAX` bytes, so every record offset fits the
+    /// index's `u32` field.
     pub fn with_segment_bytes(mut self, bytes: u64) -> PersistentStoreConfig {
         self.segment_bytes = bytes;
         self
@@ -498,16 +507,9 @@ impl TieredStore for PersistentStore {
         if let Some(hit) = self.memory.lookup_campaign(key) {
             return Ok(hit);
         }
-        if let Some(artifact) =
-            self.fetch_disk(Stage::Measure, key, |b| codec::decode_campaign(b, key))
-        {
-            return Ok(self.memory.insert_campaign(key, artifact));
-        }
         self.record_compute(Stage::Measure);
         let artifact =
             pipeline::compute_campaign(function, lowered, partition, suite, cost_model, key)?;
-        self.log
-            .append(Stage::Measure, key, &codec::encode_campaign(&artifact));
         Ok(self.memory.insert_campaign(key, artifact))
     }
 

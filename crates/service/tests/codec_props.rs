@@ -169,11 +169,6 @@ proptest! {
         prop_assert_eq!(&back.suite, &staged.suite.suite, "suite diverges on {}", src);
         prop_assert_eq!(codec::encode_suite(&back), bytes);
 
-        let bytes = codec::encode_campaign(&staged.campaign);
-        let back = codec::decode_campaign(&bytes, staged.campaign.key).expect("decode campaign");
-        prop_assert_eq!(&back.campaign, &staged.campaign.campaign);
-        prop_assert_eq!(codec::encode_campaign(&back), bytes);
-
         let key = pipeline::bound_key(&analysis, tmg_cfg::function_fingerprint(&f), None);
         let bound_artifact = pipeline::BoundArtifact { key, report: staged.report.clone() };
         let bytes = codec::encode_bound(&bound_artifact);

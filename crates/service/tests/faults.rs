@@ -53,10 +53,15 @@ fn controller() -> tmg_minic::Function {
 
 /// The stages whose artifacts are appended to the segment log: one append
 /// each per cold analysis.
-const PERSISTED: [Stage; 3] = [Stage::Testgen, Stage::Measure, Stage::Bound];
+const PERSISTED: [Stage; 2] = [Stage::Testgen, Stage::Bound];
 
 /// The memory-only stages: computed on a memory miss, never appended.
-const MEMORY_ONLY: [Stage; 3] = [Stage::Lower, Stage::Partition, Stage::PrepareModel];
+const MEMORY_ONLY: [Stage; 4] = [
+    Stage::Lower,
+    Stage::Partition,
+    Stage::PrepareModel,
+    Stage::Measure,
+];
 
 fn open_with(root: &Path, plan: FaultPlan) -> Arc<PersistentStore> {
     Arc::new(
@@ -305,8 +310,8 @@ fn a_crash_mid_compaction_leaves_only_bit_identical_duplicates() {
 #[test]
 fn a_mixed_fault_plan_still_yields_the_reference_bound() {
     let root = temp_root("mixed");
-    // Three appends per analysis (testgen, measure, bound): one torn, one
-    // durable-but-unindexed, one indexed normally.
+    // Two appends per analysis (testgen, bound): the testgen append torn,
+    // the bound append durable but never indexed.
     let plan = FaultPlan::parse("torn_append:1,crash_after_publish:1").expect("parse");
     let store = open_with(&root, plan);
     let first = analyse(&store);
@@ -315,20 +320,20 @@ fn a_mixed_fault_plan_still_yields_the_reference_bound() {
     let stats = store.stats();
     assert_eq!(
         stats.disk_stage(Stage::Bound).stores,
-        1,
-        "the bound append ran after the shots ran out: indexed normally"
+        0,
+        "the bound append died after its write: durable, not indexed"
     );
     drop(store);
 
-    // The torn tail quarantined, the durable-but-unindexed measure record
-    // recovered by the scan, and the normally indexed bound served warm.
+    // The torn tail quarantined, and the durable-but-unindexed bound
+    // recovered by the scan and served warm.
     let fresh = open(&root);
     let report = fresh.recovery_scan();
     assert_eq!(report.quarantined, 1, "{report:?}");
     assert_eq!(
         report.scanned,
         PERSISTED.len() as u64,
-        "the scan sees all three records: one torn, two valid: {report:?}"
+        "the scan sees both records: one torn, one valid: {report:?}"
     );
     assert_eq!(analyse(&fresh), reference());
     assert_eq!(fresh.stats().total_computes(), 0);

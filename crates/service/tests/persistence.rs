@@ -1,9 +1,10 @@
 //! Acceptance tests for the persistent artifact tier: a *fresh process's*
 //! analysis of an unchanged function must be served from disk — bit-identical
 //! bound, no model-checker or measurement work — with the disk-hit counters
-//! proving it.  Only testgen, measure and bound are persisted; lowering,
-//! partitioning and prepare-model are memory-only and recompute in a fresh
-//! process when a persisted stage downstream of them misses.  A fresh [`PersistentStore`] over an existing cache
+//! proving it.  Only testgen and bound are persisted; lowering,
+//! partitioning, prepare-model and measure are memory-only and recompute in
+//! a fresh process when a persisted stage downstream of them misses.  A
+//! fresh [`PersistentStore`] over an existing cache
 //! directory is the in-test equivalent of a fresh process: it shares no
 //! memory with the store that wrote the frames, only the directory.
 //!
@@ -14,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
-use tmg_core::pipeline::{Stage, STAGES};
+use tmg_core::pipeline::{Stage, TieredStore, STAGES};
 use tmg_core::WcetAnalysis;
 use tmg_minic::parse_function;
 use tmg_service::{PersistentStore, PersistentStoreConfig};
@@ -45,10 +46,15 @@ fn controller() -> tmg_minic::Function {
 }
 
 /// The stages whose artifacts are written to the segment log.
-const PERSISTED: [Stage; 3] = [Stage::Testgen, Stage::Measure, Stage::Bound];
+const PERSISTED: [Stage; 2] = [Stage::Testgen, Stage::Bound];
 
 /// The memory-only stages: never probed on disk, never appended.
-const MEMORY_ONLY: [Stage; 3] = [Stage::Lower, Stage::Partition, Stage::PrepareModel];
+const MEMORY_ONLY: [Stage; 4] = [
+    Stage::Lower,
+    Stage::Partition,
+    Stage::PrepareModel,
+    Stage::Measure,
+];
 
 /// The checker counters are process-wide and the harness runs tests on
 /// parallel threads: every analysing test holds this lock shared, and the
@@ -221,13 +227,10 @@ fn a_new_bound_in_a_fresh_process_recomputes_the_model_and_relowers_in_memory() 
         (0, 0),
         "no disk probe for prepare-model"
     );
-    let decoded: u64 = [Stage::Testgen, Stage::Measure]
-        .iter()
-        .map(|&stage| stats.disk_stage(stage).hits)
-        .sum();
     assert_eq!(
-        stats.segment.decoded_hits, decoded,
-        "only suite and campaign reads decode an owned artifact"
+        stats.segment.decoded_hits,
+        stats.disk_stage(Stage::Testgen).hits,
+        "only suite reads decode an owned artifact"
     );
     for stage in [
         Stage::Partition,
@@ -331,7 +334,53 @@ fn a_prepare_model_frame_from_an_older_build_is_kept_but_never_probed() {
 }
 
 #[test]
-fn a_fresh_process_redoes_only_lowering_partitioning_and_the_bound() {
+fn a_measure_frame_from_an_older_build_is_kept_but_never_probed() {
+    let _analysing = analysing();
+    let root = temp_root("older-measure");
+    let f = controller();
+
+    // An older build appended the measurement campaign of the bound-100
+    // analysis under the very key this build derives for it.  Its payload
+    // is never decoded, so any bytes stand in for the retired encoding.
+    let analysis = WcetAnalysis::new(100);
+    let memory = tmg_core::pipeline::ArtifactStore::new();
+    let lowered = memory.lowered(&f);
+    let partition = memory.partition(&lowered, 100);
+    let suite = memory.suite(&f, &lowered, &partition, &analysis.generator);
+    let key = tmg_core::pipeline::campaign_key(suite.key, &analysis.cost_model);
+    let frame = tmg_service::codec::encode_frame(Stage::Measure, key, b"retired campaign encoding");
+    std::fs::create_dir_all(root.join("segments")).expect("segments directory");
+    let old_segment = write_segment(&root, 1, &frame);
+
+    let store = open(&root);
+    let recovery = store.recovery_scan();
+    assert_eq!(recovery.quarantined, 0, "{recovery:?}");
+    let fresh = analysis
+        .with_store(store.clone())
+        .analyse(&f)
+        .expect("analysis");
+    let plain = WcetAnalysis::new(100).analyse(&f).expect("storeless");
+    assert_eq!(fresh, plain);
+    let measure = store.stats().disk_stage(Stage::Measure);
+    assert_eq!(
+        (
+            measure.hits,
+            measure.misses,
+            measure.stores,
+            measure.computes
+        ),
+        (0, 0, 0, 1),
+        "measure recomputes in memory and never touches the log"
+    );
+    drop(store);
+    let segment = std::fs::read(root.join("segments").join("seg-0000000000000001.tmgs"))
+        .expect("the older segment is still on disk");
+    assert_eq!(segment, old_segment, "its bytes are left untouched");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_fresh_process_redoes_only_the_memory_only_stages_and_the_bound() {
     let _exclusive = CHECKER_COUNTERS
         .write()
         .unwrap_or_else(PoisonError::into_inner);
@@ -363,7 +412,8 @@ fn a_fresh_process_redoes_only_lowering_partitioning_and_the_bound() {
     );
 
     // A different exhaustive input space misses the bound key while the
-    // suite and campaign keys (which do not depend on it) hit on disk.
+    // suite key (which does not depend on it) hits on disk; the campaign is
+    // measured again from the decoded suite.
     let other = space(&[1]);
     let states_before = tmg_tsys::metrics::snapshot().STATES_EXPLORED;
     let warm_store = open(&root);
@@ -373,23 +423,21 @@ fn a_fresh_process_redoes_only_lowering_partitioning_and_the_bound() {
         .expect("warm analysis");
     let states_after = tmg_tsys::metrics::snapshot().STATES_EXPLORED;
     let stats = warm_store.stats();
-    for stage in [Stage::Testgen, Stage::Measure] {
-        let disk = stats.disk_stage(stage);
-        assert_eq!(
-            (disk.hits, disk.computes),
-            (1, 0),
-            "stage {stage} must be served from disk"
-        );
-    }
+    let testgen = stats.disk_stage(Stage::Testgen);
+    assert_eq!(
+        (testgen.hits, testgen.computes),
+        (1, 0),
+        "the suite must be served from disk"
+    );
     for stage in STAGES {
         let expected = u64::from(matches!(
             stage,
-            Stage::Lower | Stage::Partition | Stage::Bound
+            Stage::Lower | Stage::Partition | Stage::Measure | Stage::Bound
         ));
         assert_eq!(
             stats.disk_stage(stage).computes,
             expected,
-            "stage {stage}: only lower, partition and bound may compute"
+            "stage {stage}: only lower, partition, measure and bound may compute"
         );
     }
     assert_eq!(
@@ -505,7 +553,7 @@ fn the_disk_budget_evicts_whole_segments_oldest_first() {
         )
         .expect("open"),
     );
-    let sources: Vec<String> = (0..6)
+    let sources: Vec<String> = (0..12)
         .map(|i| {
             format!(
                 "void f{i}(char a __range(0, 3)) {{ if (a > {}) {{ x{i}(); }} else {{ y{i}(); }} }}",

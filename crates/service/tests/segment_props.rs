@@ -327,3 +327,103 @@ fn a_published_index_snapshot_reloads_without_a_scan() {
     assert_eq!(reopened.stats().segment.index_rebuilds, 0);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Frames for `keys`, laid out as the segment log writes a segment file:
+/// the 16-byte header, then each frame behind its `u32` length.
+fn segment_bytes(id: u64, frames: &[Vec<u8>]) -> Vec<u8> {
+    use tmg_service::segment::{SEGMENT_MAGIC, SEGMENT_VERSION};
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&SEGMENT_MAGIC);
+    bytes.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&[0, 0]);
+    bytes.extend_from_slice(&id.to_le_bytes());
+    for frame in frames {
+        bytes.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(frame);
+    }
+    bytes
+}
+
+fn bound_frame(key: u64, report: AnalysisReport) -> Vec<u8> {
+    tmg_service::codec::encode_bound(&tmg_core::pipeline::BoundArtifact { key, report })
+}
+
+#[test]
+fn a_stray_segment_id_beyond_u32_never_aliases_a_segment() {
+    let root = temp_root("stray-id");
+    {
+        let store = open_store(&root, FaultPlan::none());
+        for key in 1..=8 {
+            store.put_bound(key, report_for(key));
+        }
+    }
+    // A file named for id 2^32 + 1, whose low 32 bits name segment 1: a
+    // frame for a key the log never wrote, and a different report under
+    // key 1.  The log writes ids up to `u32::MAX` only, so it never loads
+    // the file, and neither frame may be served.
+    let stray_id = (1u64 << 32) + 1;
+    let stray = root.join("segments").join(format!(
+        "seg-{stray_id:016x}.{}",
+        tmg_service::segment::SEGMENT_EXT
+    ));
+    let frames = [bound_frame(9, report_for(9)), bound_frame(1, report_for(2))];
+    std::fs::write(&stray, segment_bytes(stray_id, &frames)).expect("write stray segment");
+    let all: HashSet<u64> = (1..=8).collect();
+    for recover in [false, true] {
+        let store = open_store(&root, FaultPlan::none());
+        if recover {
+            let report = store.recovery_scan();
+            assert_eq!(report.quarantined, 0, "{report:?}");
+        }
+        for key in 1..=9 {
+            check_read(&store, key, &all);
+        }
+        assert!(
+            store.with_bound_view(1, |view| view.is_some()),
+            "key 1 is still served from its own segment"
+        );
+        let disk_bytes = store.stats().disk_bytes;
+        drop(store);
+        let stray_len = std::fs::metadata(&stray)
+            .expect("the stray file is left alone")
+            .len();
+        let total: u64 = std::fs::read_dir(root.join("segments"))
+            .expect("segments")
+            .flatten()
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmgs"))
+            .map(|e| e.metadata().expect("metadata").len())
+            .sum();
+        assert!(
+            disk_bytes <= total - stray_len,
+            "the stray file's bytes are not accounted ({disk_bytes} of {total})"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn the_published_index_snapshot_keeps_its_byte_format() {
+    // 96 bound frames over several segments, keys spread over all 64 bits.
+    // The golden file holds the snapshot this log published before the
+    // in-memory index packed its entries into 20 bytes: the packing changes
+    // memory only, not a byte of the file.
+    let root = temp_root("snapshot-format");
+    {
+        let store = Arc::new(
+            PersistentStore::with_config(
+                PersistentStoreConfig::new(&root).with_segment_bytes(4096),
+            )
+            .expect("open store"),
+        );
+        for i in 0..96u64 {
+            store.put_bound(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1), report_for(i));
+        }
+    }
+    let snapshot = std::fs::read(root.join(tmg_service::segment::INDEX_FILE)).expect("snapshot");
+    let hex: String = snapshot.iter().map(|b| format!("{b:02x}")).collect();
+    let golden: String = include_str!("golden/index-snapshot.hex")
+        .split_whitespace()
+        .collect();
+    assert_eq!(hex, golden);
+    let _ = std::fs::remove_dir_all(&root);
+}
