@@ -1,5 +1,5 @@
 //! Prints the reproduced tables and figures of the paper's evaluation, and
-//! emits the machine-readable perf baseline.
+//! runs the analysis service and its harnesses.
 //!
 //! ```text
 //! cargo run -p tmg-bench --release --bin reproduce -- all
@@ -14,14 +14,11 @@
 //! cargo run -p tmg-bench --release --bin reproduce -- chaos --quick   # CI chaos smoke
 //! cargo run -p tmg-bench --release --bin reproduce -- profile         # Chrome trace of one cold request
 //! cargo run -p tmg-bench --release --bin reproduce -- profile --quick # validated profiling smoke
-//! cargo run -p tmg-bench --release --bin reproduce -- bench           # writes BENCH_pr9.json
 //! cargo run -p tmg-bench --release --bin reproduce -- --quick         # CI smoke run
 //! ```
 //!
-//! `bench` records the before/after perf baseline and writes
-//! `BENCH_pr9.json` (path overridable with the `TMG_BENCH_OUT` environment
-//! variable).  `sweep` prints the cached incremental Figure-2/3 tradeoff
-//! sweep as machine-readable JSON (written by hand; the vendored serde is
+//! `sweep` prints the cached incremental Figure-2/3 tradeoff sweep as
+//! machine-readable JSON (written by hand; the vendored serde is
 //! derive-markers only); `TMG_TARGET_BLOCKS` sizes the generated function
 //! and `--stats` appends the artifact-store counter snapshot.
 //!
@@ -46,8 +43,8 @@
 
 use std::sync::Arc;
 use tmg_bench::{
-    case_study, figure2_3, loadtest, multiquery_crosscheck, perf_report, shard_crosscheck,
-    sweep_crosscheck, table1, table1_paper, table2, testgen_experiment, LoadtestConfig,
+    case_study, figure2_3, loadtest, multiquery_crosscheck, shard_crosscheck, sweep_crosscheck,
+    table1, table1_paper, table2, testgen_experiment, LoadtestConfig,
 };
 use tmg_core::pipeline::ArtifactStore;
 use tmg_service::{json, FaultPlan, PersistentStore, PersistentStoreConfig, Server};
@@ -113,7 +110,6 @@ fn main() {
             "case-study" | "case_study" => print_case_study(),
             "testgen" => print_testgen(),
             "sweep" => print_sweep_json(with_stats),
-            "bench" => run_bench(),
             other => unreachable!("`{other}` passed the argument check"),
         }
     }
@@ -121,7 +117,7 @@ fn main() {
 
 /// Experiments `main` runs itself; `serve`, `loadtest`, `chaos` and
 /// `profile` are routed before the argument check and own their flags.
-const EXPERIMENTS: [&str; 10] = [
+const EXPERIMENTS: [&str; 9] = [
     "table1",
     "figure2",
     "figure3",
@@ -130,7 +126,6 @@ const EXPERIMENTS: [&str; 10] = [
     "case_study",
     "testgen",
     "sweep",
-    "bench",
     "all",
 ];
 
@@ -146,8 +141,8 @@ const USAGE: &str = "usage: reproduce [EXPERIMENT...] [--stats]
        reproduce chaos [--quick]
        reproduce profile [wiper|module] [--quick]
 
-experiments: table1 figure2 figure3 table2 case-study testgen sweep bench all
-             (none given, or `all`: every experiment but sweep and bench)";
+experiments: table1 figure2 figure3 table2 case-study testgen sweep all
+             (none given, or `all`: every experiment but sweep)";
 
 /// Starts the analysis server (stdin or TCP), or runs the scripted smoke
 /// batch.  Startup arms `TMG_FAULT_PLAN` (if set) and always runs the
@@ -993,112 +988,6 @@ fn print_sweep_json(with_stats: bool) {
     }
     println!("  ]");
     println!("}}");
-}
-
-/// Full perf baseline: times the optimised hot paths against their
-/// references (recorded floors where the measured reference was dropped),
-/// checks result equality, writes `BENCH_pr9.json`.
-fn run_bench() {
-    let report = perf_report();
-    println!("== Perf baseline (before = pre-optimisation, after = optimised) ==");
-    let mut rows = vec![&report.table2, &report.pipeline];
-    rows.extend(report.testgen.iter());
-    for c in rows {
-        println!(
-            "{:<26} before {:>9.2} ms   after {:>9.2} ms   speedup {:>6.2}x   identical: {}",
-            c.name,
-            c.before.as_secs_f64() * 1e3,
-            c.after.as_secs_f64() * 1e3,
-            c.speedup(),
-            c.identical_results
-        );
-    }
-    let lt = &report.service_loadtest;
-    println!(
-        "service_loadtest: {} requests   1-worker {:.2} ms   pool {:.2} ms   {:.0} req/s   p99 {:.3} ms   identical across workers: {}",
-        lt.requests,
-        lt.one_worker_wall.as_secs_f64() * 1e3,
-        lt.wall.as_secs_f64() * 1e3,
-        lt.throughput_rps,
-        lt.p99_analyse_ms,
-        lt.identical_across_workers
-    );
-    let rec = &report.service_recovery;
-    println!(
-        "service_recovery_scan: {} frames in {:.2} ms   quarantined {}   healthy: {}",
-        rec.frames,
-        rec.wall.as_secs_f64() * 1e3,
-        rec.quarantined,
-        rec.healthy
-    );
-    let seg = &report.segment_tier;
-    println!(
-        "segment_tier: compaction reclaimed {} -> {} dead bytes ({} frames copied) in {:.2} ms   group commit: {} batch(es), {} ms window   identical: {}",
-        seg.dead_bytes_before,
-        seg.dead_bytes_after,
-        seg.compacted_frames,
-        seg.wall.as_secs_f64() * 1e3,
-        seg.group_commit_batches,
-        seg.group_commit_window_ms,
-        seg.identical
-    );
-    let soak = &report.chaos_soak;
-    println!(
-        "chaos_soak: {} requests   {} kill(s)   max recovery {:.1} ms   {} wire faults fired   restart computes {}   restart states {}   {} answers verified identical",
-        soak.requests,
-        soak.kills,
-        soak.max_recovery.as_secs_f64() * 1e3,
-        soak.wire_faults_fired,
-        soak.restart_computes,
-        soak.restart_states_explored,
-        soak.verified_identical
-    );
-    let cro = &report.client_retry_overhead;
-    println!(
-        "client_retry_overhead: {} warm round trips   raw {:.2} ms   tmg-client {:.2} ms   overhead {:.2}x   identical: {}",
-        cro.requests,
-        cro.raw_wall.as_secs_f64() * 1e3,
-        cro.client_wall.as_secs_f64() * 1e3,
-        cro.overhead(),
-        cro.identical
-    );
-    println!(
-        "hot-path speedup (geomean): {:.2}x   all results identical: {}",
-        report.hot_path_speedup(),
-        report.all_results_identical()
-    );
-    assert!(
-        report.all_results_identical(),
-        "optimised implementations must not change any result"
-    );
-    assert!(
-        report.table1_matches_paper,
-        "Table 1 must reproduce exactly"
-    );
-    let burst = report
-        .testgen
-        .iter()
-        .find(|c| c.name == "service_concurrent_burst")
-        .expect("burst workload present");
-    // The burst win is structural (one computation answers the whole
-    // burst), but on a busy single-core host the measured ratio jitters
-    // around 1.0 — so warn inside the noise band and only fail on a
-    // clear regression.
-    assert!(
-        burst.speedup() >= 0.85,
-        "service_concurrent_burst fell clearly below its PR 5 floor: {:.3}x",
-        burst.speedup()
-    );
-    if burst.speedup() < 1.0 {
-        println!(
-            "warning: service_concurrent_burst at {:.3}x (within the +/-15% noise band of its floor)",
-            burst.speedup()
-        );
-    }
-    let out = std::env::var("TMG_BENCH_OUT")
-        .unwrap_or_else(|_| format!("BENCH_{}.json", tmg_bench::perf::PR_LABEL));
-    std::fs::write(&out, report.to_json()).expect("write bench json");
-    println!("wrote {out}");
 }
 
 fn print_table1() {

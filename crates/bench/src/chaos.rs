@@ -130,11 +130,6 @@ impl ChaosReport {
     pub fn wire_faults_fired(&self) -> u64 {
         self.wire_faults.iter().map(|(_, n)| n).sum()
     }
-
-    /// The slowest kill recovery.
-    pub fn max_recovery(&self) -> Duration {
-        self.recovery.iter().copied().max().unwrap_or_default()
-    }
 }
 
 /// The request body (no `id` — the client assigns and pins it) for slot

@@ -6,11 +6,9 @@
 
 pub mod chaos;
 pub mod loadtest;
-pub mod perf;
 
 pub use chaos::{chaos, ChaosConfig, ChaosReport};
 pub use loadtest::{loadtest, saturate, LoadtestConfig, LoadtestReport};
-pub use perf::{perf_report, Comparison, PerfReport};
 
 use serde::Serialize;
 use std::time::Duration;
@@ -519,5 +517,86 @@ mod tests {
             result.heuristic_ratio
         );
         assert!(result.goals >= result.heuristic_covered + result.checker_covered);
+    }
+}
+
+/// Untimed correctness checks on the workloads the retired timing harness
+/// measured: the checker-heavy function and the module-edit differential.
+/// No clock is read; only the results are asserted.
+#[cfg(test)]
+mod perf {
+    #[cfg(test)]
+    mod tests {
+        use std::sync::Arc;
+        use tmg_cfg::{build_cfg, CallGraph};
+        use tmg_codegen::{generate_module, ModuleGenConfig};
+        use tmg_core::{ArtifactStore, ModuleAnalysis, Stage};
+        use tmg_minic::parse_function;
+
+        #[test]
+        fn checker_heavy_module_parses_and_partitions() {
+            // Narrow equality guards random search cannot hit, so the
+            // checker has to resolve most goals.
+            let f = parse_function(
+                r#"
+                void lookup_dispatch(int key __range(0, 20000), char mode __range(0, 5), char gate __range(0, 1)) {
+                    if (key == 1234) { hit1(); }
+                    if (key == 8190) { hit2(); }
+                    if (key == 19999) { hit3(); }
+                    if (mode > 3) { fast(); } else { slow(); }
+                    if (mode == 2 && gate) { gated(); }
+                    if (key < 0) { never(); }
+                }
+            "#,
+            )
+            .expect("checker-heavy module parses");
+            let lowered = build_cfg(&f);
+            assert!(lowered.regions.root().path_count > 8);
+        }
+
+        /// On the seeded bench module, a localised edit re-analysed against
+        /// a primed store gives the from-scratch report bit-identically,
+        /// re-lowering only the edited function and re-measuring only the
+        /// dirty cone.
+        #[test]
+        fn module_edit_differential_comparison_is_identical() {
+            let module = generate_module(&ModuleGenConfig::bench());
+            let graph = CallGraph::build(&module.program);
+            let (edit, cone) = (0..graph.len())
+                .map(|i| (i, graph.dirty_cone(&[i])))
+                .filter(|(_, cone)| cone.len() <= graph.len() / 8)
+                .max_by_key(|(_, cone)| cone.len())
+                .expect("the seeded module has a localised edit target");
+            let edited = module.edited(edit);
+
+            let scratch = ModuleAnalysis::new(4)
+                .with_store(Arc::new(ArtifactStore::new()))
+                .analyse_module(&edited.program)
+                .expect("from-scratch module analysis");
+
+            let store = Arc::new(ArtifactStore::new());
+            let analysis = ModuleAnalysis::new(4).with_store(store.clone());
+            analysis
+                .analyse_module(&module.program)
+                .expect("prime the store");
+            let primed = store.store_stats();
+            let differential = analysis
+                .analyse_module(&edited.program)
+                .expect("differential module analysis");
+            let warm = store.store_stats();
+            let misses = |stage: Stage| warm.stage(stage).misses - primed.stage(stage).misses;
+
+            assert_eq!(differential.recomputed().len(), cone.len());
+            assert_eq!(differential.summaries_reused, graph.len() - cone.len());
+            assert_eq!(
+                misses(Stage::Lower),
+                1,
+                "only the edited function is re-lowered"
+            );
+            assert_eq!(misses(Stage::Measure), cone.len() as u64);
+            assert_eq!(differential.reports, scratch.reports);
+            assert_eq!(differential.module_key, scratch.module_key);
+            assert_eq!(differential.roots, scratch.roots);
+        }
     }
 }

@@ -242,29 +242,24 @@ impl WcetAnalysis {
     /// This is where the toolchain's parallelism lives: functions are
     /// analysed concurrently (each function's residual checker queries are
     /// already batched into one shared exploration by the generator, so
-    /// fanning out *within* a function would only add pool overhead).  With
-    /// fewer than two functions, or when the generator is configured
-    /// sequential, the fan-out is skipped entirely.  An attached store is
+    /// fanning out *within* a function would only add pool overhead).  The
+    /// worker pool runs a single function inline.  An attached store is
     /// shared by all workers.
     pub fn analyse_all(
         &self,
         functions: &[Function],
     ) -> Vec<Result<AnalysisReport, AnalysisError>> {
-        if self.generator.parallel && functions.len() > 1 {
-            // Workers continue the caller's trace (if any), so a traced
-            // request's per-function spans land under its request span no
-            // matter which pool thread ran them.
-            let ctx = tmg_obs::current_context();
-            functions
-                .par_iter()
-                .map(|f| {
-                    let _trace = tmg_obs::enter_trace(ctx);
-                    self.analyse(f)
-                })
-                .collect()
-        } else {
-            functions.iter().map(|f| self.analyse(f)).collect()
-        }
+        // Workers continue the caller's trace (if any), so a traced
+        // request's per-function spans land under its request span no
+        // matter which pool thread ran them.
+        let ctx = tmg_obs::current_context();
+        functions
+            .par_iter()
+            .map(|f| {
+                let _trace = tmg_obs::enter_trace(ctx);
+                self.analyse(f)
+            })
+            .collect()
     }
 
     /// Runs the full pipeline and additionally determines the exact WCET by

@@ -942,10 +942,7 @@ pub fn compute_prepared_model(
 /// tier's cached shared checker model (building it through `tier` only if a
 /// residual checker batch exists), so neither the optimisation passes nor
 /// the encoder run more than once per `(function, checker configuration)`
-/// and a fully heuristic-covered function pays nothing.  The unbatched
-/// generator is the benchmark's measured pre-optimisation reference (handing
-/// it the shared model would skip the work it is supposed to measure), so it
-/// never requests one.
+/// and a fully heuristic-covered function pays nothing.
 pub fn compute_suite<S: TieredStore + ?Sized>(
     tier: &S,
     function: &Function,

@@ -182,7 +182,7 @@ impl Default for HeuristicConfig {
 }
 
 /// The two-phase test-data generator.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HybridGenerator {
     /// Heuristic-phase configuration.
     pub heuristic: HeuristicConfig,
@@ -192,33 +192,30 @@ pub struct HybridGenerator {
     pub max_paths_per_segment: usize,
     /// Cost model of the target used to replay candidate vectors.
     pub cost_model: CostModel,
-    /// Run the model-checking phase across all cores (checker queries are
-    /// independent per goal, and results are merged in goal order, so the
-    /// generated suite is identical to a sequential run).
-    pub parallel: bool,
-    /// Select the optimised generation pipeline: all of a function's
-    /// residual goals are answered through one shared state-space
-    /// exploration ([`ModelChecker::check_many`]) instead of one search per
-    /// goal, and the heuristic phase runs the target once per distinct
-    /// input, matching goals through the precomputed allocation-free
-    /// matcher.  When disabled, the whole legacy pipeline is restored
-    /// (per-goal searches, a target run per individual per generation,
-    /// allocation-per-call matching) as the benchmark's measured reference.
-    /// Results are bit-identical either way.
-    pub batch_queries: bool,
 }
 
-/// Residual-goal count below which the per-goal checker fan-out runs inline:
-/// a couple of queries finish faster on the current thread than the rayon
-/// pool can hand them out and collect them back.
-const PARALLEL_RESIDUAL_THRESHOLD: usize = 4;
+impl std::fmt::Debug for HybridGenerator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The persistent artifact keys hash this string.  The generator's
+        // former `parallel` and `batch_queries` switches are gone, but their
+        // fields are still written as the literals the default configuration
+        // rendered, so existing keys stay valid.
+        f.debug_struct("HybridGenerator")
+            .field("heuristic", &self.heuristic)
+            .field("checker", &self.checker)
+            .field("max_paths_per_segment", &self.max_paths_per_segment)
+            .field("cost_model", &self.cost_model)
+            .field("parallel", &true)
+            .field("batch_queries", &true)
+            .finish()
+    }
+}
 
 /// A sequentially-measured generation evaluation must cost at least this
 /// much before the population fan-out moves to the worker pool: dispatching
-/// microsecond-sized target runs costs more than running them inline, which
-/// is exactly the `testgen_wiper` regression of BENCH_pr1.json.  Results are
-/// identical either way (the evaluation is pure and collected in order), so
-/// the switch can be made adaptively mid-search.
+/// microsecond-sized target runs costs more than running them inline.
+/// Results are identical either way (the evaluation is pure and collected
+/// in order), so the switch can be made adaptively mid-search.
 const PARALLEL_EVAL_MIN: std::time::Duration = std::time::Duration::from_millis(2);
 
 impl Default for HybridGenerator {
@@ -236,26 +233,7 @@ impl HybridGenerator {
             checker: ModelChecker::new(),
             max_paths_per_segment: 4096,
             cost_model: CostModel::hcs12(),
-            parallel: true,
-            batch_queries: true,
         }
-    }
-
-    /// Disables the parallel model-checking phase (used by the benchmark
-    /// harness to measure the speedup; results are identical either way).
-    pub fn sequential(mut self) -> HybridGenerator {
-        self.parallel = false;
-        self
-    }
-
-    /// Restores the legacy generation pipeline — one model-checker search
-    /// per residual goal, a target run per individual per generation and
-    /// allocation-per-call goal matching (used by the
-    /// benchmark harness as the pre-optimisation reference; results are
-    /// identical either way).
-    pub fn unbatched(mut self) -> HybridGenerator {
-        self.batch_queries = false;
-        self
     }
 
     /// Builds the coverage goals of a partition plan.
@@ -352,57 +330,47 @@ impl HybridGenerator {
         // Phase 1: heuristic (genetic) search.
         {
             let _span = tmg_obs::span("testgen:heuristic");
-            self.heuristic_phase(function, &machine, &goals, &mut status);
+            self.heuristic_phase(
+                function,
+                &machine,
+                &goals,
+                &mut status,
+                Self::genetic_search,
+            );
         }
 
-        // Phase 2: model checking for the residual goals.  The default path
-        // batches every residual query of the function through one shared
-        // exploration; the per-goal path (kept for the perf baseline and as
-        // the semantics reference) fans the independent queries out across
-        // cores once there are enough of them to amortise the pool overhead.
-        // All variants merge in goal order and produce identical suites.
+        // Phase 2: every residual query of the function is answered through
+        // one shared exploration, merged in goal order.
         let _span = tmg_obs::span("testgen:checker");
         let residual: Vec<usize> = (0..goals.len()).filter(|&i| status[i].is_none()).collect();
         // A lazily supplied model is materialised only for a non-empty
-        // residual batch on the batching pipeline.
+        // residual batch.
         let holder: Option<Arc<SharedCheckModel>>;
         let shared: Option<&SharedCheckModel> = match shared {
             SharedSource::Ready(ready) => ready,
-            SharedSource::Lazy(build) if self.batch_queries && !residual.is_empty() => {
+            SharedSource::Lazy(build) if !residual.is_empty() => {
                 holder = build();
                 holder.as_deref()
             }
             SharedSource::Lazy(_) => None,
         };
-        let resolved: Vec<(usize, CoverageStatus)> = if self.batch_queries {
-            self.check_residual_batched(function, lowered, &machine, &goals, &residual, shared)
-        } else {
-            let check = |&i: &usize| (i, self.check_goal(function, lowered, &machine, &goals[i]));
-            if self.parallel && residual.len() >= PARALLEL_RESIDUAL_THRESHOLD {
-                residual.par_iter().map(check).collect()
-            } else {
-                residual.iter().map(check).collect()
-            }
-        };
+        let resolved =
+            self.check_residual_batched(function, lowered, &machine, &goals, &residual, shared);
         for (i, outcome) in resolved {
             status[i] = Some(outcome);
         }
-
-        TestSuite {
-            goals: goals
-                .into_iter()
-                .zip(status)
-                .map(|(g, s)| (g, s.unwrap_or(CoverageStatus::Unknown)))
-                .collect(),
-        }
+        into_suite(goals, status)
     }
 
+    /// Runs `search` over the function's input domains, or the single run a
+    /// function without inputs has.
     fn heuristic_phase(
         &self,
         function: &Function,
         machine: &Machine<'_>,
         goals: &[CoverageGoal],
         status: &mut [Option<CoverageStatus>],
+        search: GeneticSearch,
     ) {
         let domains: Vec<(String, i64, i64)> = function
             .params
@@ -425,11 +393,7 @@ impl HybridGenerator {
             }
             return;
         }
-        if self.batch_queries {
-            self.genetic_search(machine, goals, &domains, status);
-        } else {
-            self.genetic_search_reference(machine, goals, &domains, status);
-        }
+        search(self, machine, goals, &domains, status);
     }
 
     /// The genetic search of the optimised pipeline.  Individuals are dense
@@ -481,15 +445,14 @@ impl HybridGenerator {
                 }
             }
             let run = |genome: &&[i64]| machine.run(&to_vector(genome), &[]).ok();
-            let runs: Vec<Option<tmg_target::RunResult>> =
-                if self.parallel && eval_in_parallel && fresh.len() > 1 {
-                    fresh.par_iter().map(run).collect()
-                } else {
-                    let eval_start = std::time::Instant::now();
-                    let runs = fresh.iter().map(run).collect();
-                    eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
-                    runs
-                };
+            let runs: Vec<Option<tmg_target::RunResult>> = if eval_in_parallel && fresh.len() > 1 {
+                fresh.par_iter().map(run).collect()
+            } else {
+                let eval_start = std::time::Instant::now();
+                let runs = fresh.iter().map(run).collect();
+                eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
+                runs
+            };
             for (genome, run) in fresh.into_iter().zip(runs) {
                 let exercised = run.map(|run| {
                     (0..goals.len())
@@ -570,8 +533,8 @@ impl HybridGenerator {
     }
 
     /// The legacy genetic search over named input vectors, re-running every
-    /// individual of every generation: the unbatched pipeline's measured
-    /// reference and the oracle of the memoised
+    /// individual of every generation on the calling thread:
+    /// [`reference_suite`]'s heuristic phase and the oracle of the memoised
     /// [`genetic_search`](HybridGenerator::genetic_search).
     fn genetic_search_reference(
         &self,
@@ -591,27 +554,11 @@ impl HybridGenerator {
             .map(|_| random_vector(&mut rng))
             .collect();
         let mut stall = 0usize;
-        let mut eval_in_parallel = false;
         for _generation in 0..self.heuristic.max_generations {
-            // Evaluate the whole generation on the target first — runs are
-            // independent, so they fan out across cores; coverage recording
-            // and selection stay sequential (and the RNG untouched), keeping
-            // the search bit-identical to a sequential evaluation.
-            let runs: Vec<Option<tmg_target::RunResult>> =
-                if self.parallel && eval_in_parallel && population.len() > 1 {
-                    population
-                        .par_iter()
-                        .map(|ind| machine.run(ind, &[]).ok())
-                        .collect()
-                } else {
-                    let eval_start = std::time::Instant::now();
-                    let runs: Vec<Option<tmg_target::RunResult>> = population
-                        .iter()
-                        .map(|ind| machine.run(ind, &[]).ok())
-                        .collect();
-                    eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
-                    runs
-                };
+            let runs: Vec<Option<tmg_target::RunResult>> = population
+                .iter()
+                .map(|ind| machine.run(ind, &[]).ok())
+                .collect();
             let mut new_coverage = false;
             let mut scored: Vec<(usize, InputVector)> = Vec::with_capacity(population.len());
             for (individual, run) in population.iter().zip(&runs) {
@@ -676,6 +623,8 @@ impl HybridGenerator {
         }
     }
 
+    /// One model-checker search per candidate query of `goal`:
+    /// [`reference_suite`]'s checker phase.
     fn check_goal(
         &self,
         function: &Function,
@@ -706,7 +655,8 @@ impl HybridGenerator {
     /// Resolves all residual goals of the function through one shared
     /// state-space exploration: every goal's candidate queries are collected
     /// into a single [`ModelChecker::check_many`] batch, then each goal folds
-    /// its candidates' outcomes exactly as the per-goal path does.
+    /// its candidates' outcomes exactly as [`reference_suite`]'s per-goal
+    /// search does.
     fn check_residual_batched(
         &self,
         function: &Function,
@@ -753,6 +703,58 @@ impl HybridGenerator {
     }
 }
 
+/// One implementation of the genetic search: the memoised
+/// [`HybridGenerator::genetic_search`] or its reference.
+type GeneticSearch = fn(
+    &HybridGenerator,
+    &Machine<'_>,
+    &[CoverageGoal],
+    &[(String, i64, i64)],
+    &mut [Option<CoverageStatus>],
+);
+
+/// The legacy sequential pipeline that [`HybridGenerator::generate`] must
+/// match bit for bit: the genetic search re-runs every individual of every
+/// generation and matches goals with [`PathSpec::matches_trace`], and each
+/// residual goal gets its own model-checker search per candidate query.
+/// Tests compare the production path against it; it is not a configuration
+/// of the generator and keys no artifact.
+pub fn reference_suite(
+    generator: &HybridGenerator,
+    function: &Function,
+    lowered: &LoweredFunction,
+    plan: &PartitionPlan,
+) -> TestSuite {
+    let goals = generator.goals(lowered, plan);
+    let machine = Machine::new(&lowered.cfg, function, generator.cost_model.clone());
+    let mut status: Vec<Option<CoverageStatus>> = vec![None; goals.len()];
+    generator.heuristic_phase(
+        function,
+        &machine,
+        &goals,
+        &mut status,
+        HybridGenerator::genetic_search_reference,
+    );
+    for (goal, slot) in goals.iter().zip(&mut status) {
+        if slot.is_none() {
+            *slot = Some(generator.check_goal(function, lowered, &machine, goal));
+        }
+    }
+    into_suite(goals, status)
+}
+
+/// Pairs every goal with its outcome; a goal neither phase settled is
+/// `Unknown`.
+fn into_suite(goals: Vec<CoverageGoal>, status: Vec<Option<CoverageStatus>>) -> TestSuite {
+    TestSuite {
+        goals: goals
+            .into_iter()
+            .zip(status)
+            .map(|(g, s)| (g, s.unwrap_or(CoverageStatus::Unknown)))
+            .collect(),
+    }
+}
+
 /// How phase 2 of the generator obtains the shared checker model.
 enum SharedSource<'a> {
     /// The caller already holds a model (or explicitly has none).
@@ -773,8 +775,8 @@ enum CandidateVerdict {
     Unknown,
 }
 
-/// Applies the witness-validation rule shared by the batched and per-goal
-/// checker phases.
+/// Applies the witness-validation rule shared by the batched checker phase
+/// and [`reference_suite`]'s per-goal one.
 fn resolve_candidate(
     goal: &CoverageGoal,
     machine: &Machine<'_>,
@@ -1106,8 +1108,10 @@ mod tests {
     #[test]
     fn parallel_and_sequential_generation_agree_exactly() {
         // Include goals the heuristic cannot reach (forcing the checker
-        // phase) and an infeasible pair, so the parallel merge is exercised
-        // on every outcome kind.
+        // phase) and an infeasible pair, so every outcome kind is merged.
+        // The vendored worker pool and the checker's explorer both run
+        // inline on a thread named `rayon-shim-*`, which gives the
+        // single-threaded side.
         let src = r#"
             void f(int a __range(0, 9000), char b __range(0, 3)) {
                 if (a == 4321) { rare(); }
@@ -1119,9 +1123,12 @@ mod tests {
         let lowered = build_cfg(&f);
         let plan = PartitionPlan::compute(&lowered, 1000);
         let parallel = HybridGenerator::new().generate(&f, &lowered, &plan);
-        let sequential = HybridGenerator::new()
-            .sequential()
-            .generate(&f, &lowered, &plan);
+        let sequential = std::thread::Builder::new()
+            .name("rayon-shim-inline-probe".to_owned())
+            .spawn(move || HybridGenerator::new().generate(&f, &lowered, &plan))
+            .expect("spawn")
+            .join()
+            .expect("join");
         assert_eq!(parallel, sequential);
         assert!(
             parallel.checker_covered() > 0,
@@ -1133,7 +1140,7 @@ mod tests {
     fn batched_and_per_goal_checking_agree_exactly() {
         // Needles for the checker, an infeasible pair, and block goals at a
         // fine partition: every candidate-query shape goes through both the
-        // batched and the per-goal phase-2 implementation.
+        // batched phase 2 and the reference's per-goal searches.
         let sources = [
             (
                 r#"
@@ -1159,23 +1166,15 @@ mod tests {
                 1,
             ),
         ];
+        let generator = HybridGenerator::new();
         for (src, bound) in sources {
             let f = parse_function(src).expect("parse");
             let lowered = build_cfg(&f);
             let plan = PartitionPlan::compute(&lowered, bound);
-            let batched = HybridGenerator::new().generate(&f, &lowered, &plan);
-            let per_goal = HybridGenerator::new()
-                .unbatched()
-                .sequential()
-                .generate(&f, &lowered, &plan);
+            let batched = generator.generate(&f, &lowered, &plan);
+            let per_goal = reference_suite(&generator, &f, &lowered, &plan);
             assert_eq!(batched, per_goal, "suites diverge on {src}");
         }
-    }
-
-    #[test]
-    fn batching_is_the_default() {
-        assert!(HybridGenerator::new().batch_queries);
-        assert!(!HybridGenerator::new().unbatched().batch_queries);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub fn sweep_path_bounds(lowered: &LoweredFunction, bounds: &[u128]) -> Vec<Trad
 }
 
 /// The pre-optimisation sweep: one independent [`PartitionPlan::compute`]
-/// per bound.  Kept as the measurable reference for `reproduce bench` and
-/// the bit-identity tests of the incremental sweep.
+/// per bound.  Kept as the reference of the incremental sweep's
+/// bit-identity tests and of the `--quick` smoke.
 pub fn sweep_path_bounds_reference(
     lowered: &LoweredFunction,
     bounds: &[u128],

@@ -18,9 +18,7 @@
 //! allocations — evaluates pre-resolved (index-based) expressions from a
 //! [`PreparedModel`], and deduplicates revisited
 //! `(location, monitor, valuation)` states through a depth-aware
-//! `rustc-hash` table.  (The original clone-per-state `Baseline` engine was
-//! retired once three PRs of `BENCH_*.json` before/after trajectory existed;
-//! its recorded wall times remain the benchmark's *before* floors.)
+//! `rustc-hash` table.
 
 use crate::encode::encode_function;
 use crate::model::{Model, VarRole};

@@ -936,8 +936,8 @@ fn build_shards(frontier: Vec<FrontierEntry>) -> Vec<Shard> {
 /// available parallelism.  Thread count never changes results — only
 /// wall-clock time.
 fn default_explore_threads() -> usize {
-    // Inside a rayon worker (testgen's residual fan-out, the service's
-    // analyse_all) the cores are already owned by the outer parallelism:
+    // Inside a rayon worker (`WcetAnalysis::analyse_all`, the genetic
+    // search's population fan-out) the cores are already owned by the outer parallelism:
     // spawning a full complement of scoped workers per task would
     // oversubscribe quadratically, so nested explorations stay sequential —
     // mirroring the vendored rayon shim's own nested-collect rule.

@@ -7,8 +7,9 @@
 //! * `reverse_topological_order` is a permutation in which every callee
 //!   precedes its callers,
 //! * a differential re-analysis after a random single-function edit
-//!   recomputes exactly the dirty cone and returns a report bit-identical
-//!   to a from-scratch analysis of the edited module, and
+//!   recomputes exactly the dirty cone (one re-lowering, one measurement
+//!   per cone member) and returns a report bit-identical to a from-scratch
+//!   analysis of the edited module, and
 //! * module reports are identical whether the internal fan-outs run on the
 //!   worker pool or inline on one thread.
 
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use tmg_cfg::CallGraph;
 use tmg_codegen::{generate_module, ModuleGenConfig};
-use tmg_core::{ArtifactStore, ModuleAnalysis};
+use tmg_core::{ArtifactStore, ModuleAnalysis, Stage};
 
 /// Whether `from` can reach `to` along callee edges (forward DFS; the
 /// independent oracle for `dirty_cone`, which walks *caller* edges).
@@ -91,7 +92,10 @@ proptest! {
         prop_assert_eq!(before.summaries_computed, module.function_count());
 
         let edited_module = module.edited(edited);
+        let primed = store.store_stats();
         let after = analysis.analyse_module(&edited_module.program).expect("differential");
+        let warm = store.store_stats();
+        let misses = |stage: Stage| warm.stage(stage).misses - primed.stage(stage).misses;
 
         // Exactly the reverse-reachable cone of the edit is recomputed.
         let graph = CallGraph::build(&module.program);
@@ -106,6 +110,8 @@ proptest! {
             "wrong cone on edit of f{} in\n{}", edited, module.source
         );
         prop_assert_eq!(after.summaries_reused, module.function_count() - cone.len());
+        prop_assert_eq!(misses(Stage::Lower), 1, "only the edited function is re-lowered");
+        prop_assert_eq!(misses(Stage::Measure), cone.len() as u64, "one measurement per cone member");
 
         // Outside the cone nothing moves; the edited function gets heavier.
         for summary in &before.summaries {

@@ -252,3 +252,24 @@ fn the_memory_tier_keeps_every_bound_but_only_a_working_set_of_intermediates() {
         (FUNCTIONS - INTERMEDIATE_CAPACITY) as u64
     );
 }
+
+#[test]
+fn a_traced_analysis_returns_the_untraced_report() {
+    let f = controller();
+    let analyse = || {
+        WcetAnalysis::new(2)
+            .with_store(Arc::new(ArtifactStore::new()))
+            .analyse(&f)
+            .expect("analysis")
+    };
+    let plain = analyse();
+    tmg_obs::set_enabled(true);
+    let traced = analyse();
+    tmg_obs::set_enabled(false);
+    let spans = tmg_obs::drain_all();
+    assert_eq!(traced, plain);
+    assert!(
+        spans.iter().any(|s| s.name.starts_with("stage:")),
+        "the traced run must record its stage spans"
+    );
+}

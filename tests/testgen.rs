@@ -2,6 +2,7 @@
 
 use tmg_cfg::build_cfg;
 use tmg_codegen::wiper_function;
+use tmg_core::testgen::reference_suite;
 use tmg_core::{HybridGenerator, PartitionPlan};
 use tmg_minic::Interpreter;
 use tmg_minic::Program;
@@ -147,25 +148,42 @@ fn memoised_heuristic_phase_matches_the_legacy_search_on_a_seeded_corpus() {
                     .take(16),
             ),
     );
+    corpus.push(wiper_function());
     assert!(corpus.len() >= 64, "corpus of {} functions", corpus.len());
-    let (mut checker_covered, mut infeasible) = (0, 0);
-    for function in &corpus {
-        let lowered = build_cfg(function);
-        for bound in [1u128, 8] {
-            let plan = PartitionPlan::compute(&lowered, bound);
-            let memoised = HybridGenerator::new().generate(function, &lowered, &plan);
-            let legacy = HybridGenerator::new()
-                .unbatched()
-                .sequential()
-                .generate(function, &lowered, &plan);
-            assert_eq!(
-                memoised, legacy,
-                "suites diverge on {} at bound {bound}",
-                function.name
-            );
-            checker_covered += memoised.checker_covered();
-            infeasible += memoised.infeasible_count();
+    // Equality needles that random search cannot hit, under one coarse
+    // segment: this function leaves the checker far more residual goals
+    // than any corpus member does at bounds 1 and 8.
+    let checker_heavy = tmg_minic::parse_function(
+        r#"
+        void lookup_dispatch(int key __range(0, 20000), char mode __range(0, 5), char gate __range(0, 1)) {
+            if (key == 1234) { hit1(); }
+            if (key == 8190) { hit2(); }
+            if (key == 19999) { hit3(); }
+            if (mode > 3) { fast(); } else { slow(); }
+            if (mode == 2 && gate) { gated(); }
+            if (key < 0) { never(); }
         }
+    "#,
+    )
+    .expect("parse");
+    let cases = corpus
+        .iter()
+        .flat_map(|function| [(function, 1u128), (function, 8)])
+        .chain([(&checker_heavy, 4096)]);
+    let generator = HybridGenerator::new();
+    let (mut checker_covered, mut infeasible) = (0, 0);
+    for (function, bound) in cases {
+        let lowered = build_cfg(function);
+        let plan = PartitionPlan::compute(&lowered, bound);
+        let memoised = generator.generate(function, &lowered, &plan);
+        let legacy = reference_suite(&generator, function, &lowered, &plan);
+        assert_eq!(
+            memoised, legacy,
+            "suites diverge on {} at bound {bound}",
+            function.name
+        );
+        checker_covered += memoised.checker_covered();
+        infeasible += memoised.infeasible_count();
     }
     assert!(
         checker_covered > 0 && infeasible > 0,
