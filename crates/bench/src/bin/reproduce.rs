@@ -839,7 +839,7 @@ fn chrome_trace_json(spans: &[tmg_obs::SpanRecord]) -> String {
 }
 
 /// Fast smoke run for CI: the exact Table-1 reproduction, one full (small)
-/// pipeline, and the batched-vs-single-query equivalence cross-check — no
+/// pipeline, and the N-query-batch vs N-one-query-batches cross-check — no
 /// perf measurement.
 fn run_quick() {
     print_table1();
@@ -854,7 +854,9 @@ fn run_quick() {
         r.wcet_bound, r.exhaustive_max, r.pessimism
     );
     let checked = multiquery_crosscheck();
-    println!("quick: batched vs single-query verdicts identical on {checked} queries — ok");
+    println!(
+        "quick: N-query batch vs N one-query batches: verdicts identical on {checked} queries — ok"
+    );
     let sharded = shard_crosscheck();
     println!(
         "quick: 1-thread and default-thread shard resolutions identical on {sharded} queries — ok"

@@ -318,9 +318,9 @@ pub fn testgen_experiment() -> TestGenResult {
 }
 
 /// CI smoke check of the multi-query engine's equivalence guarantee: every
-/// verdict of a batched [`ModelChecker::check_many`] call must be identical
-/// to the single-query verdict for the same query.  Returns the number of
-/// queries cross-checked.
+/// verdict of an N-query [`ModelChecker::check_many`] batch must be
+/// identical to the verdict of the same query asked as a batch of one.
+/// Returns the number of queries cross-checked.
 ///
 /// # Panics
 ///
@@ -356,7 +356,7 @@ pub fn multiquery_crosscheck() -> usize {
             let single = checker.find_test_data(function, query);
             assert_eq!(
                 result.outcome, single.outcome,
-                "multi-query and single-query verdicts diverge on `{}` for {:?}",
+                "N-query batch and one-query batch verdicts diverge on `{}` for {:?}",
                 function.name, query.decisions
             );
             checked += 1;
@@ -494,6 +494,37 @@ mod tests {
         }
         let concat = by_label("Statement Concatenation");
         assert!(concat.steps.unwrap_or(u64::MAX) < unopt.steps.unwrap_or(0).max(1) + 1);
+    }
+
+    #[test]
+    fn table2_deterministic_columns_are_pinned() {
+        // Every column of `reproduce -- table2` except the time: memory in
+        // bytes (printed in kB), witness steps, transitions fired and state
+        // bits, one row per configuration in the paper's order.
+        let expected: [(&str, u64, u64, u64, u32); 8] = [
+            ("unoptimized", 43_956, 36, 393, 143),
+            ("all optimisations used", 610, 19, 47, 36),
+            ("Variable Initialisation", 39_348, 36, 393, 143),
+            ("Variable Range Analysis", 6_084, 36, 137, 102),
+            ("Reverse CSE", 32_070, 33, 89, 118),
+            ("Statement Concatenation", 43_200, 22, 351, 142),
+            ("Dead Variable Elimination", 31_720, 34, 391, 102),
+            ("Live-Variable Analysis", 29_292, 35, 392, 94),
+        ];
+        let rows = table2();
+        assert_eq!(rows.len(), expected.len());
+        for (row, (label, memory, steps, transitions, bits)) in rows.iter().zip(expected) {
+            assert_eq!(
+                (
+                    row.label.as_str(),
+                    row.memory_bytes,
+                    row.steps,
+                    row.transitions_fired,
+                    row.state_bits
+                ),
+                (label, memory, Some(steps), transitions, bits)
+            );
+        }
     }
 
     #[test]

@@ -12,24 +12,24 @@
 //! reduce: the width of variable domains, the number of variables in the
 //! state vector and the number of transitions.
 //!
-//! The search engine keeps every live state packed
-//! in one contiguous arena — a flat `i64` value array plus a known-bits
-//! mask, pushed and popped in stack discipline with zero per-state heap
-//! allocations — evaluates pre-resolved (index-based) expressions from a
-//! [`PreparedModel`], and deduplicates revisited
-//! `(location, monitor, valuation)` states through a depth-aware
-//! `rustc-hash` table.
+//! There is one search loop, in [`crate::multiquery`]; a single query is
+//! asked as a batch of one.  This module holds the checker's configuration
+//! and entry points and the pieces the loop is built from: the packed state
+//! arena — a flat `i64` value array plus a known-bits mask, pushed and
+//! popped in stack discipline with zero per-state heap allocations — and
+//! the evaluation of pre-resolved (index-based) expressions from a
+//! [`PreparedModel`].
 
 use crate::encode::encode_function;
 use crate::model::{Model, VarRole};
+use crate::multiquery::{default_explore_threads, MultiQueryEngine};
 use crate::opt::{apply_optimisations_preserving, OptReport, Optimisations};
 use crate::prepared::{
     ExprPool, FastGuard, INode, NodeId, OwnedPreparedModel, PreparedModel, PreparedTransition,
 };
-use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tmg_minic::ast::{BinOp, Function, StmtId, UnOp};
 use tmg_minic::interp::BranchChoice;
 use tmg_minic::value::InputVector;
@@ -168,18 +168,10 @@ pub struct ModelChecker {
     /// splits.  Witnesses found on the slice are completed against the full
     /// model by a pinned re-search, so reported witnesses and step counts
     /// stay full-model-consistent; a completion that fails to replay falls
-    /// back to the ordinary per-query search.  Part of the checker's
+    /// back to a one-query search of the full model.  Part of the checker's
     /// `Debug`-rendered configuration, so the pipeline's content-addressed
     /// artifact keys change with it.
     pub slicing: bool,
-    /// Number of expanded states after which the arena engine starts
-    /// deduplicating revisited `(location, monitor, valuation)` states.
-    /// On searches that complete within the transition budget, dedup is pure
-    /// pruning and never changes a verdict; a budget-limited search may
-    /// settle to a definite verdict where an undeduped one would report
-    /// [`CheckOutcome::Unknown`], because pruning stretches the budget
-    /// further.  It only trades hashing cost against re-exploration cost.
-    pub dedup_after_pops: u64,
     /// Cooperative cancellation handle, polled at shard-claim boundaries of
     /// the multi-query explorer and between per-query fallback searches.  A
     /// fired token makes the search *unwind* with [`crate::cancel::Cancelled`]
@@ -203,29 +195,20 @@ impl std::fmt::Debug for ModelChecker {
         // before the cancel token existed: the persistent artifact keys hash
         // this string, and a per-request deadline must not fragment the
         // cache (see `tmg_core::pipeline`'s key derivation).  The search
-        // engine is no longer configurable, but its former field is still
-        // written as the literal `engine: Arena` so existing keys stay valid.
+        // engine and the single-query search's dedup threshold are no longer
+        // configurable, but their former fields are still written as the
+        // literals `engine: Arena` and `dedup_after_pops: 1048576` so
+        // existing keys stay valid.
         f.debug_struct("ModelChecker")
             .field("optimisations", &self.optimisations)
             .field("max_transitions", &self.max_transitions)
             .field("max_depth", &self.max_depth)
             .field("engine", &format_args!("Arena"))
             .field("slicing", &self.slicing)
-            .field("dedup_after_pops", &self.dedup_after_pops)
+            .field("dedup_after_pops", &format_args!("1048576"))
             .finish()
     }
 }
-
-/// Cap on remembered `(location, monitor, valuation)` states: beyond this the
-/// search keeps running but stops deduplicating, bounding memory without
-/// affecting soundness.
-pub(crate) const VISITED_CAP: usize = 1 << 21;
-
-/// Default for [`ModelChecker::dedup_after_pops`]: high enough that ordinary
-/// test-data queries (including full scans of one 16-bit domain) never pay
-/// the hashing cost, low enough that a genuine state-space blow-up starts
-/// pruning long before the transition budget is gone.
-const DEDUP_AFTER_POPS_DEFAULT: u64 = 1 << 20;
 
 impl ModelChecker {
     /// A checker with all optimisations enabled and default budgets.
@@ -240,7 +223,6 @@ impl ModelChecker {
             max_transitions: 50_000_000,
             max_depth: 100_000,
             slicing: true,
-            dedup_after_pops: DEDUP_AFTER_POPS_DEFAULT,
             cancel: crate::cancel::CancelToken::none(),
         }
     }
@@ -252,8 +234,8 @@ impl ModelChecker {
     }
 
     /// Enables or disables cone-of-influence slicing for multi-query batches
-    /// (see [`ModelChecker::slicing`]; used by the bench to isolate the
-    /// slicing speedup).
+    /// (see [`ModelChecker::slicing`]; the slicing equivalence suite compares
+    /// both settings).
     pub fn with_slicing(mut self, slicing: bool) -> ModelChecker {
         self.slicing = slicing;
         self
@@ -272,14 +254,9 @@ impl ModelChecker {
         let (optimised, opt_report) =
             apply_optimisations_preserving(function, &self.optimisations, query.stmts());
         let model = encode_function(&optimised, &self.optimisations.encode_options());
-        let mut result = self.check_model(&model, query);
+        let mut result = self.check_prepared(&PreparedModel::new(&model), query);
         result.opt_report = opt_report;
         result
-    }
-
-    /// Runs the search on an already-encoded model.
-    pub fn check_model(&self, model: &Model, query: &PathQuery) -> CheckResult {
-        self.check_prepared(&PreparedModel::new(model), query)
     }
 
     /// Answers a batch of path queries over one function, sharing a single
@@ -292,16 +269,12 @@ impl ModelChecker {
     /// otherwise — and for the queries a budget-exhausted shared exploration
     /// leaves unresolved — the method falls back to per-query
     /// [`ModelChecker::find_test_data`].  Either way every returned
-    /// [`CheckOutcome`] (verdict, witness and step count) is bit-identical to
-    /// the undeduped reference search — and therefore to the single-query
-    /// engines on every search that settles within the transition budget.
-    /// Budget-limited searches carry the same caveat the arena engine's
-    /// [`dedup_after_pops`](ModelChecker::dedup_after_pops) already
-    /// documents: once adaptive revisit dedup engages (after 2²⁰ pops), a
-    /// per-query arena search may settle a verdict the undeduped accounting
-    /// reports as [`CheckOutcome::Unknown`].  Only the cost statistics always
-    /// differ, because batched queries report the cost of the shared
-    /// exploration.
+    /// [`CheckOutcome`] (verdict, witness and step count) is the one a batch
+    /// of one would give for that query on every search that settles within
+    /// the transition budget; the exception is slicing, which may settle a
+    /// query whose full-model search would exhaust the budget (see
+    /// [`ModelChecker::slicing`]).  Only the cost statistics differ, because
+    /// batched queries report the cost of the shared exploration.
     pub fn check_many(&self, function: &Function, queries: &[PathQuery]) -> Vec<CheckResult> {
         if queries.len() < 2 {
             return self.check_each(function, queries);
@@ -370,38 +343,29 @@ impl ModelChecker {
         if !queries.iter().all(|q| shared.covers(q)) {
             return self.check_many(function, queries);
         }
-        let prepared = shared.prepared.view();
-        let off_shared = |q: &PathQuery| {
-            // Between fallback searches is the last cooperative point before
-            // a potentially long single-query exploration.
-            self.cancel.checkpoint();
-            let mut result = self.check_prepared(&prepared, q);
-            result.opt_report = shared.opt_report.clone();
-            result
-        };
-        if queries.len() < 2 {
-            // Solo batches answer straight off the cached model: the search
-            // is the single-query arena search over the identical model, so
-            // nothing is shared and nothing needs re-encoding.
-            return queries.iter().map(off_shared).collect();
-        }
-        if self.slicing {
+        // A solo batch is never sliced: nothing is shared, so it answers
+        // straight off the cached model and nothing needs re-encoding.
+        if self.slicing && queries.len() > 1 {
             if let Some(results) = self.check_many_sliced(function, shared, queries) {
                 return results;
             }
         }
-        let explored = crate::multiquery::MultiQueryEngine::explore(self, &prepared, queries);
+        let prepared = shared.prepared.view();
+        let explored = MultiQueryEngine::explore(self, &prepared, queries);
         queries
             .iter()
             .enumerate()
-            .map(|(i, q)| match explored.result(i) {
-                Some(mut result) => {
-                    result.opt_report = shared.opt_report.clone();
-                    result
-                }
-                // Budget exhausted before this query settled: re-ask alone,
-                // still on the cached model.
-                None => off_shared(q),
+            .map(|(i, q)| {
+                let mut result = explored.result(i).unwrap_or_else(|| {
+                    // Budget exhausted before this query settled: re-ask
+                    // alone, still on the cached model.  Between fallback
+                    // searches is the last cooperative point before a
+                    // potentially long exploration.
+                    self.cancel.checkpoint();
+                    self.check_prepared(&prepared, q)
+                });
+                result.opt_report = shared.opt_report.clone();
+                result
             })
             .collect()
     }
@@ -421,12 +385,11 @@ impl ModelChecker {
     /// [`crate::opt::slice_for_queries`]); witnesses and step counts are
     /// produced by a full-model re-search with the slice's relevant inputs
     /// pinned ([`ModelChecker::check_prepared_pinned`]), and any completion
-    /// that fails to replay feasibly drops that query back to the ordinary
-    /// per-query search — the slice never gets the last word on a witness.
-    /// The one intended divergence: a query whose full-model search would
-    /// exhaust [`ModelChecker::max_transitions`] may settle to a definite
-    /// verdict on the much cheaper slice (the same strengthening the arena
-    /// engine's adaptive dedup has always documented).
+    /// that fails to replay feasibly drops that query back to a one-query
+    /// search of the full model — the slice never gets the last word on a
+    /// witness.  The one intended divergence: a query whose full-model
+    /// search would exhaust [`ModelChecker::max_transitions`] may settle to
+    /// a definite verdict on the much cheaper slice.
     ///
     /// [`check_many_shared`]: ModelChecker::check_many_shared
     fn check_many_sliced(
@@ -468,7 +431,7 @@ impl ModelChecker {
             .map(|(i, v)| (i, v.name.clone()))
             .collect();
 
-        let explored = crate::multiquery::MultiQueryEngine::explore(self, &sliced.view(), queries);
+        let explored = MultiQueryEngine::explore(self, &sliced.view(), queries);
         let results = queries
             .iter()
             .enumerate()
@@ -520,8 +483,13 @@ impl ModelChecker {
             .collect()
     }
 
-    /// Runs the arena search on a [`PreparedModel`], reusing its outgoing
-    /// transition index and pre-resolved expressions across queries.
+    /// Runs one query on a [`PreparedModel`], reusing its outgoing
+    /// transition index and pre-resolved expressions across queries.  The
+    /// search is the [`MultiQueryEngine`] exploration of a batch of one, so
+    /// a large search shards across the machine's cores.  Its verdict and
+    /// witness are the same at every thread count, and so are its cost
+    /// statistics (`duration` aside) unless the budget runs out inside a
+    /// shard.
     pub fn check_prepared(&self, prepared: &PreparedModel<'_>, query: &PathQuery) -> CheckResult {
         self.check_prepared_pinned(prepared, query, &[])
     }
@@ -548,247 +516,15 @@ impl ModelChecker {
         query: &PathQuery,
         pins: &[(usize, i64)],
     ) -> CheckResult {
-        let start = Instant::now();
-        let model = prepared.model;
-        let vars_n = model.vars.len();
-        let words = vars_n.div_ceil(64).max(1);
-
-        let mut stats = CheckStats {
-            state_bits: model.state_bits(),
-            state_bytes: model.state_bytes(),
-            model_transitions: model.transitions.len(),
-            model_vars: model.vars.len(),
-            ..CheckStats::default()
-        };
-
-        let pool = &prepared.program.pool;
-        let mut arena = StateArena::new(vars_n, words);
-        // Initial state.
-        {
-            let mut vals = vec![0i64; vars_n];
-            let mut known = vec![0u64; words];
-            for (i, var) in model.vars.iter().enumerate() {
-                if let Some(init) = var.init {
-                    vals[i] = init;
-                    known[i >> 6] |= 1 << (i & 63);
-                }
-            }
-            for &(idx, value) in pins {
-                if idx < vars_n {
-                    vals[idx] = value;
-                    known[idx >> 6] |= 1 << (idx & 63);
-                }
-            }
-            arena.push(model.initial.index() as u32, 0, 0, &vals, &known);
-        }
-        stats.states_created = 1;
-
-        // Scratch buffers reused across the whole search: the popped state
-        // and the child state under construction.
-        let mut cur_vals = vec![0i64; vars_n];
-        let mut cur_known = vec![0u64; words];
-        let mut child_vals = vec![0i64; vars_n];
-        let mut child_known = vec![0u64; words];
-        let mut enabled: Vec<usize> = Vec::with_capacity(8);
-        let mut effect_cache: Vec<Eval> = Vec::with_capacity(8);
-        let mut effect_offsets: Vec<usize> = Vec::with_capacity(8);
-        let mut visited: FxHashMap<Box<[u64]>, u64> = FxHashMap::default();
-        let mut key_buf: Vec<u64> = Vec::with_capacity(1 + words + vars_n);
-        let mut pops: u64 = 0;
-        let mut dedup_active = true;
-        let mut dedup_lookups: u64 = 0;
-        let mut dedup_hits: u64 = 0;
-
-        let mut outcome = CheckOutcome::Infeasible;
-        'search: while let Some(entry) = arena.pop(&mut cur_vals, &mut cur_known) {
-            if stats.transitions_fired + stats.states_created >= self.max_transitions {
-                outcome = CheckOutcome::Unknown;
-                break 'search;
-            }
-            pops += 1;
-            stats.max_depth = stats.max_depth.max(entry.depth);
-            if entry.monitor as usize == query.decisions.len() {
-                outcome = CheckOutcome::Feasible {
-                    witness: witness_packed(model, &cur_vals, &cur_known),
-                    steps: entry.depth,
-                };
-                stats.witness_steps = Some(entry.depth);
-                break 'search;
-            }
-            if entry.depth >= self.max_depth {
-                continue;
-            }
-            let transitions = &prepared.program.outgoing[entry.loc as usize];
-            if transitions.is_empty() {
-                continue;
-            }
-
-            // Revisit dedup: a state identical in (location, monitor,
-            // valuation) reached again at the same or greater depth explores
-            // a subtree that has already been (or is being) explored with at
-            // least as much depth headroom — skip it.  Engages only once the
-            // search is large enough to amortise the hashing, and disables
-            // itself (dropping the table) when the hit rate shows the state
-            // space is not reconverging — splits over wide input domains
-            // produce millions of unique states that would only burn memory.
-            if dedup_active && pops > self.dedup_after_pops && visited.len() >= VISITED_CAP {
-                // Table full: stop deduplicating and release the memory
-                // instead of carrying the peak allocation through the rest
-                // of the search.
-                dedup_active = false;
-                visited = FxHashMap::default();
-            }
-            if dedup_active && pops > self.dedup_after_pops {
-                dedup_lookups += 1;
-                key_buf.clear();
-                key_buf.push(u64::from(entry.loc) | (u64::from(entry.monitor) << 32));
-                key_buf.extend_from_slice(&cur_known);
-                key_buf.extend(cur_vals.iter().map(|v| *v as u64));
-                match visited.get_mut(key_buf.as_slice()) {
-                    Some(best_depth) => {
-                        if *best_depth <= entry.depth {
-                            dedup_hits += 1;
-                            continue;
-                        }
-                        *best_depth = entry.depth;
-                    }
-                    None => {
-                        visited.insert(key_buf.clone().into_boxed_slice(), entry.depth);
-                    }
-                }
-                if dedup_lookups & 0xFFFF == 0 && dedup_hits * 10 < dedup_lookups {
-                    dedup_active = false;
-                    visited = FxHashMap::default();
-                }
-            }
-
-            // First pass: find out whether deciding the enabled set requires
-            // the value of a still-unknown variable.
-            let mut split_var: Option<usize> = None;
-            enabled.clear();
-            for (i, t) in transitions.iter().enumerate() {
-                match eval_guard(pool, t, &cur_vals, &cur_known) {
-                    Eval::Known(v) => {
-                        if v != 0 {
-                            enabled.push(i);
-                        }
-                    }
-                    Eval::Unknown(var) => {
-                        split_var = Some(var);
-                        break;
-                    }
-                    Eval::Error => {}
-                }
-            }
-            effect_cache.clear();
-            effect_offsets.clear();
-            if split_var.is_none() {
-                // Effects may also read unknown variables; evaluate each
-                // enabled transition's effects once here and cache the
-                // values so the fire loop does not walk the expressions a
-                // second time.
-                'effects: for &i in &enabled {
-                    effect_offsets.push(effect_cache.len());
-                    for &(_, e) in &transitions[i].effect {
-                        let value = eval_packed(pool, e, &cur_vals, &cur_known);
-                        if let Eval::Unknown(var) = value {
-                            split_var = Some(var);
-                            break 'effects;
-                        }
-                        effect_cache.push(value);
-                    }
-                }
-            }
-            if let Some(var) = split_var {
-                // Split lazily: the parent valuation is stored once and the
-                // children are materialised value-by-value as they are
-                // popped, in ascending order (deterministic witnesses with
-                // minimal values), costing O(1) arena space per split.  The
-                // children still count towards the state budget up front,
-                // exactly like the baseline engine's eager pushes.
-                let (lo, hi) = model.vars[var].domain;
-                stats.states_created += model.vars[var].domain_size();
-                arena.push_split(
-                    entry.loc,
-                    entry.monitor,
-                    entry.depth,
-                    &cur_vals,
-                    &cur_known,
-                    var as u32,
-                    lo,
-                    hi,
-                );
-                continue;
-            }
-            // Fire enabled transitions (in reverse so the first is explored
-            // first by the DFS).
-            for pos in (0..enabled.len()).rev() {
-                let t: &PreparedTransition = &transitions[enabled[pos]];
-                if stats.transitions_fired >= self.max_transitions {
-                    outcome = CheckOutcome::Unknown;
-                    break 'search;
-                }
-                // Path monitor.
-                let mut monitor = entry.monitor as usize;
-                if let Some((stmt, choice)) = &t.decision {
-                    if monitor < query.decisions.len() {
-                        let (expected_stmt, expected_choice) = query.decisions[monitor];
-                        if *stmt == expected_stmt {
-                            if *choice == expected_choice {
-                                monitor += 1;
-                            } else {
-                                // Wrong decision at a constrained branch: this
-                                // run can no longer follow the path.
-                                continue;
-                            }
-                        }
-                    }
-                }
-                child_vals.copy_from_slice(&cur_vals);
-                child_known.copy_from_slice(&cur_known);
-                let mut failed = false;
-                let cached = &effect_cache[effect_offsets[pos]..];
-                for (&(target, _), value) in t.effect.iter().zip(cached) {
-                    match *value {
-                        Eval::Known(v) => {
-                            let target = target as usize;
-                            if target >= vars_n {
-                                failed = true;
-                                break;
-                            }
-                            child_vals[target] = model.vars[target].ty.wrap(v);
-                            child_known[target >> 6] |= 1 << (target & 63);
-                        }
-                        // Unknown cannot be cached (it would have split);
-                        // Error skips the transition like the baseline.
-                        Eval::Unknown(_) | Eval::Error => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                }
-                if failed {
-                    continue;
-                }
-                stats.transitions_fired += 1;
-                arena.push(
-                    t.to,
-                    monitor as u32,
-                    entry.depth + 1,
-                    &child_vals,
-                    &child_known,
-                );
-                stats.states_created += 1;
-            }
-        }
-
-        stats.memory_estimate_bytes = stats.states_created * stats.state_bytes;
-        stats.duration = start.elapsed();
-        CheckResult {
-            outcome,
-            stats,
-            opt_report: OptReport::default(),
-        }
+        MultiQueryEngine::explore_pinned(
+            self,
+            prepared,
+            std::slice::from_ref(query),
+            pins,
+            default_explore_threads(),
+        )
+        .result(0)
+        .expect("a batch of one always settles")
     }
 }
 
@@ -1079,7 +815,7 @@ pub(crate) fn eval_guard(
     }
 }
 
-/// Evaluates the shared arithmetic of both engines.
+/// Evaluates one binary operator of the search's expression language.
 fn eval_op(op: BinOp, l: i64, r: i64) -> Result<i64, ()> {
     Ok(match op {
         BinOp::Add => l.wrapping_add(r),
@@ -1376,14 +1112,26 @@ mod tests {
             }
         "#;
         let (f, paths) = paths_of(src);
+        // No statement of this function is removable, so the preserve-free
+        // model is the one `find_test_data` builds for every query.
         let model = crate::encode::encode_function(&f, &Optimisations::all().encode_options());
         let prepared = PreparedModel::new(&model);
         let mc = ModelChecker::new();
         for path in &paths {
             let query = PathQuery::new(path.decisions.clone());
             let via_prepared = mc.check_prepared(&prepared, &query);
-            let via_model = mc.check_model(&model, &query);
-            assert_eq!(via_prepared.outcome, via_model.outcome);
+            let fresh = mc.find_test_data(&f, &query);
+            assert_eq!(via_prepared.outcome, fresh.outcome);
+            assert_eq!(
+                CheckStats {
+                    duration: Duration::ZERO,
+                    ..via_prepared.stats
+                },
+                CheckStats {
+                    duration: Duration::ZERO,
+                    ..fresh.stats
+                }
+            );
         }
     }
 
@@ -1436,34 +1184,5 @@ mod tests {
             assert_eq!(s.outcome, m.outcome);
         }
         assert!(!shared.model().transitions.is_empty());
-    }
-
-    #[test]
-    fn dedup_preserves_verdicts_and_witnesses() {
-        // Reconvergent control flow (branches that do not touch state) is
-        // where revisit dedup prunes; forcing it on from the first pop must
-        // not change any verdict or witness relative to a search whose dedup
-        // never engages.
-        let src = r#"
-            void f(char a __range(0, 6), char b __range(0, 6)) {
-                if (a > 1) { p1(); } else { p2(); }
-                if (a > 3) { p3(); } else { p4(); }
-                if (b == 5) { p5(); }
-            }
-        "#;
-        let (f, paths) = paths_of(src);
-        assert!(paths.len() >= 8);
-        for path in &paths {
-            let query = PathQuery::new(path.decisions.clone());
-            let mut eager = ModelChecker::new();
-            eager.dedup_after_pops = 0;
-            let deduped = eager.find_test_data(&f, &query);
-            let mut lazy = ModelChecker::new();
-            lazy.dedup_after_pops = u64::MAX;
-            let undeduped = lazy.find_test_data(&f, &query);
-            assert_eq!(deduped.outcome, undeduped.outcome, "path {path}");
-            // Pruning must never expand more states than the undeduped run.
-            assert!(deduped.stats.states_created <= undeduped.stats.states_created);
-        }
     }
 }

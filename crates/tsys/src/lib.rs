@@ -27,8 +27,9 @@
 //! * [`multiquery`] — a multi-query reachability engine that explores one
 //!   function's state space once and answers a whole batch of path queries
 //!   from the shared, decision-signature-annotated graph
-//!   ([`ModelChecker::check_many`]), with results bit-identical to the
-//!   per-query engines.  Since PR 5 the batch path runs a two-stage
+//!   ([`ModelChecker::check_many`]), with results bit-identical to
+//!   one-query searches.  It is the crate's only search loop: a single
+//!   query is explored as a batch of one.  Since PR 5 the batch path runs a two-stage
 //!   *slice→shard* pipeline: the model is first reduced to the
 //!   cone of influence of the queried decisions
 //!   ([`opt::slice_for_queries`], fed by `tmg_cfg`'s def/use dependence

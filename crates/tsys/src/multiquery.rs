@@ -9,6 +9,13 @@
 //! [`MultiQueryEngine`] runs the exploration once and lets every monitor ride
 //! the same traversal.
 //!
+//! It is also the checker's only search loop: a single query
+//! ([`ModelChecker::check_prepared`], [`ModelChecker::find_test_data`], the
+//! slicing path's pinned witness completion) is explored as a batch of one.
+//! Below, "a query's own search" means that batch of one: a lazily
+//! splitting packed-arena DFS whose path monitor prunes a run at the first
+//! wrong decision.
+//!
 //! # Decision signatures
 //!
 //! Each explored state carries a **decision-signature id**: an interned
@@ -30,9 +37,9 @@
 //!
 //! # Seed, then shards
 //!
-//! The traversal is the same packed-arena DFS as the single-query engine
-//! (same split order, same depth budget).  Small explorations run it
-//! sequentially to the end, exactly as before.  A large exploration runs a
+//! The traversal is every query's own DFS run side by side (same split
+//! order, same depth budget).  Small explorations run it sequentially to
+//! the end.  A large exploration runs a
 //! sequential **seed phase** up to a fixed op budget ([`SHARD_SEED_OPS`] —
 //! thread-count-independent, so the cut is deterministic), then snapshots
 //! the DFS frontier into an ordered list of **shards**: each arena entry
@@ -51,21 +58,25 @@
 //! shards prune subtrees that are dead for every still-unsettled query, and
 //! a shard is skipped outright once every query is settled by *finished*
 //! earlier shards), so verdicts, witnesses and step counts are bit-identical
-//! for every thread count, including one.  Only the cost statistics may vary
-//! with timing, because hint-driven pruning saves nondeterministic amounts
-//! of speculative work.
+//! for every thread count, including one.  The cost statistics are summed
+//! over the seed and the shards up to the last one a resolution came from,
+//! so shards that ran only speculatively past it never count.  A settled
+//! batch of one therefore reports its sequential counts at every thread
+//! count, unless its budget ran out inside a shard.  In a larger batch,
+//! hint-driven pruning still saves timing-dependent amounts of speculative
+//! work inside the counted shards, so its statistics may vary.
 //!
 //! # Per-query budget accounting
 //!
-//! The single-query engine charges each search two kinds of ops — states
-//! created and transitions fired — against
+//! A query's own search charges two kinds of ops — states created and
+//! transitions fired — against
 //! [`ModelChecker::max_transitions`], and reports
 //! [`CheckOutcome::Unknown`](crate::CheckOutcome::Unknown) when the budget
 //! trips.  The shared traversal reproduces those counters *per query*
 //! without per-query work: every op is charged to the signature it occurs
 //! under (pushes and splits to the state's signature, fires to the
 //! post-decision signature — a transition whose decision kills query `q` is
-//! exactly the transition the single-query search prunes before counting),
+//! exactly the transition the query's own search prunes before counting),
 //! and query `q`'s counter is the sum over signatures in which `q` is not
 //! dead.  Because shards partition the sequential traversal, the counter at
 //! `q`'s winning completion is the seed's contribution plus every earlier
@@ -74,16 +85,16 @@
 //! budget before its first completion is a **certified Unknown**, a
 //! completion under budget is Feasible, a drained frontier under budget is
 //! Infeasible; whatever the shared run cannot settle within its own cap
-//! ([`SHARED_BUDGET_FACTOR`] per-query budgets) falls back to per-query
-//! search.
+//! ([`SHARED_BUDGET_FACTOR`] per-query budgets) falls back to one-query
+//! searches.  A batch of one always settles: its cap is its own budget.
 //!
 //! The traversal runs without revisit dedup in the seed and engages the
 //! striped [`ShardedVisited`] table only when a single shard's sub-DFS grows
-//! past [`SHARD_DEDUP_AFTER_POPS`] pops: dedup skips work the single-query
-//! engines would count, which would silently undercount the per-query budget
-//! attribution, so it stays a blow-up safety valve (with the same caveat the
-//! arena engine's adaptive dedup has always documented) rather than a
-//! routine pruning step.  Skips consult only entries the same shard wrote,
+//! past [`SHARD_DEDUP_AFTER_POPS`] pops: dedup skips work an undeduped
+//! search would count, which undercounts the per-query budget attribution
+//! (a budget-limited query may then settle where an undeduped search reports
+//! Unknown), so it stays a blow-up safety valve rather than a routine
+//! pruning step.  Skips consult only entries the same shard wrote,
 //! which keeps resolutions deterministic; the striping exists to bound the
 //! table's total memory across shards and to expose contention counters.
 
@@ -96,7 +107,7 @@ use crate::prepared::{PreparedModel, PreparedTransition};
 use rustc_hash::FxHashMap;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use tmg_minic::ast::StmtId;
 use tmg_minic::value::InputVector;
@@ -224,7 +235,7 @@ impl SigLattice {
     /// Whether `sig` still matters to any query alive in this run,
     /// recomputing the cached answer when resolutions have advanced since it
     /// was last checked.  A signature in which every alive query is dead
-    /// heads a subtree that no single-query search would explore (each of
+    /// heads a subtree that no query's own search would explore (each of
     /// them pruned it at or before the killing decision), so the traversal
     /// prunes it too — the op attribution of alive queries is untouched by
     /// construction.
@@ -665,9 +676,9 @@ fn run_exploration(
         out.max_depth = out.max_depth.max(entry.depth);
         let sig = entry.monitor;
         // Membership scan: does this state's signature complete a query that
-        // is still alive?  Pops happen in the exact DFS order of the
-        // single-query search, so the first hit per query within the
-        // seed-then-shard order *is* the single-query witness state.
+        // is still alive?  Pops happen in the exact DFS order of each
+        // query's own search, so the first hit per query within the
+        // seed-then-shard order *is* that search's witness state.
         if lattice.pending[sig as usize] {
             for i in 0..lattice.completes[sig as usize].len() {
                 let q = lattice.completes[sig as usize][i] as usize;
@@ -694,7 +705,7 @@ fn run_exploration(
             }
         }
         if !lattice.is_live(sig, alive, epoch) {
-            // Every alive query is dead here: no single-query search would
+            // Every alive query is dead here: no query's own search would
             // expand this state.
             continue;
         }
@@ -708,10 +719,10 @@ fn run_exploration(
 
         // Blow-up safety valve: once a single run's sub-DFS is past the
         // engagement threshold, consult the sharded visited table (own-shard
-        // entries only — see the struct docs).  Like the single-query
-        // engine's adaptive dedup, it switches itself off when the hit rate
-        // shows the state space is not reconverging — wide-domain splits
-        // produce millions of unique states that would only burn memory.
+        // entries only — see the struct docs).  It switches itself off when
+        // the hit rate shows the state space is not reconverging —
+        // wide-domain splits produce millions of unique states that would
+        // only burn memory.
         if let Some((visited, tag)) = ctx.visited {
             if dedup_enabled && out.pops > SHARD_DEDUP_AFTER_POPS {
                 dedup_checks += 1;
@@ -739,8 +750,9 @@ fn run_exploration(
             }
         }
 
-        // Enabled-set computation and lazy splitting, identical to the
-        // single-query engine.
+        // Enabled-set computation and lazy splitting: the first unknown
+        // variable a guard or an enabled transition's effect reads splits
+        // the state over its domain.
         let mut split_var: Option<usize> = None;
         enabled.clear();
         for (i, t) in transitions.iter().enumerate() {
@@ -789,7 +801,7 @@ fn run_exploration(
             continue;
         }
         // Fire enabled transitions (in reverse so the first is explored
-        // first by the DFS).  Unlike the single-query monitor there is no
+        // first by the DFS).  Unlike a one-query monitor there is no
         // pruning: a wrong decision only kills the affected monitors inside
         // the signature — the run stays interesting to the other queries,
         // and the fire/push ops are charged to the post-decision signature,
@@ -805,7 +817,7 @@ fn run_exploration(
             };
             if sig_next != sig && !lattice.is_live(sig_next, alive, epoch) {
                 // The decision just killed the last alive query that was
-                // still matchable on this run: every single-query search
+                // still matchable on this run: every query's own search
                 // prunes this transition (at this decision or an earlier
                 // one), so the shared traversal does too, and no alive
                 // query's op counter is owed anything for it.
@@ -931,11 +943,11 @@ fn build_shards(frontier: Vec<FrontierEntry>) -> Vec<Shard> {
     shards
 }
 
-/// Resolves the explorer's worker count: an explicit override via
-/// `TMG_EXPLORE_THREADS` or `RAYON_NUM_THREADS`, else the machine's
-/// available parallelism.  Thread count never changes results — only
-/// wall-clock time.
-fn default_explore_threads() -> usize {
+/// Resolves the explorer's worker count: one inside a rayon worker, else an
+/// explicit override via `TMG_EXPLORE_THREADS` or `RAYON_NUM_THREADS`, else
+/// the machine's available parallelism (both read once per process).
+/// Thread count never changes results — only wall-clock time.
+pub(crate) fn default_explore_threads() -> usize {
     // Inside a rayon worker (`WcetAnalysis::analyse_all`, the genetic
     // search's population fan-out) the cores are already owned by the outer parallelism:
     // spawning a full complement of scoped workers per task would
@@ -947,19 +959,25 @@ fn default_explore_threads() -> usize {
     {
         return 1;
     }
-    for var in ["TMG_EXPLORE_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            if n >= 1 {
-                return n;
+    // The environment and the machine do not change under a running
+    // process, and `available_parallelism` reads cgroup files on every call,
+    // so the answer is resolved once.
+    static PROCESS_THREADS: OnceLock<usize> = OnceLock::new();
+    *PROCESS_THREADS.get_or_init(|| {
+        for var in ["TMG_EXPLORE_THREADS", "RAYON_NUM_THREADS"] {
+            if let Some(n) = std::env::var(var)
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+            {
+                if n >= 1 {
+                    return n;
+                }
             }
         }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The annotated result of one shared exploration, ready to answer any of
@@ -992,11 +1010,31 @@ impl MultiQueryEngine {
     }
 
     /// Like [`explore`](MultiQueryEngine::explore) with an explicit worker
-    /// count (used by the determinism tests and the thread-scaling bench).
+    /// count (used by the determinism tests and the `--quick` cross-check).
     pub fn explore_with_threads(
         checker: &ModelChecker,
         prepared: &PreparedModel<'_>,
         queries: &[PathQuery],
+        threads: usize,
+    ) -> MultiQueryEngine {
+        Self::explore_pinned(checker, prepared, queries, &[], threads)
+    }
+
+    /// The exploration, with `(state-vector index, value)` pairs *pinned*
+    /// in the initial state: the search never splits over a pinned variable
+    /// and every witness carries the pinned values.  Only the slicing
+    /// path's witness completion pins anything.
+    ///
+    /// A batch of one always settles: its op cap is `min(1, 4)` budgets,
+    /// exactly its query's budget, and every op is charged to that query
+    /// (an op under which the query is dead is pruned before it is
+    /// counted), so a run that trips the cap has spent the budget and
+    /// certifies Unknown.  Nothing is left to a fallback search.
+    pub(crate) fn explore_pinned(
+        checker: &ModelChecker,
+        prepared: &PreparedModel<'_>,
+        queries: &[PathQuery],
+        pins: &[(usize, i64)],
         threads: usize,
     ) -> MultiQueryEngine {
         checker.cancel.checkpoint();
@@ -1067,6 +1105,12 @@ impl MultiQueryEngine {
                 if let Some(init) = var.init {
                     vals[i] = init;
                     known[i >> 6] |= 1 << (i & 63);
+                }
+            }
+            for &(idx, value) in pins {
+                if idx < vars_n {
+                    vals[idx] = value;
+                    known[idx >> 6] |= 1 << (idx & 63);
                 }
             }
             arena.push(model.initial.index() as u32, 0, 0, &vals, &known);
@@ -1321,7 +1365,6 @@ impl MultiQueryEngine {
         }
 
         // Deterministic reduction over seed + shards in order.
-        let mut resolutions: Vec<Option<Resolution>> = vec![None; queries.len()];
         let mut gave_up = seed_tripped;
         // The cutoff: shards at or before the first tripped one contribute;
         // results past it are discarded (the sequential search would have
@@ -1339,78 +1382,85 @@ impl MultiQueryEngine {
         // Whether the whole reachable frontier was explored (Infeasible
         // verdicts are only sound then).  `AllSettled` counts: the traversal
         // stopped early only because every query already had a completion or
-        // certification, which the per-query loop below consumes first.
+        // certification, which the per-query reduction consumes first.
         let fully_drained = match seed_exit {
             RunExit::Drained | RunExit::AllSettled => true,
             RunExit::Tripped => false,
             RunExit::ShardReady => cutoff == shard_runs.len(),
         };
+        if queries.len() == 1 {
+            // A batch of one charges every op to its query (see
+            // `explore_pinned`), which is what makes it always settle.
+            let all_ops = |out: &RunOutput| out.states_created + out.transitions_fired;
+            debug_assert_eq!(seed_out.query_ops[0], all_ops(&seed_out));
+            debug_assert!(shard_runs
+                .iter()
+                .all(|s| !matches!(s, ShardSlot::Done(out) if out.query_ops[0] != all_ops(out))));
+        }
 
-        for (q, resolution) in resolutions.iter_mut().enumerate() {
-            let mut cumulative = seed_out.query_ops[q];
-            if let Some(c) = &seed_out.completions[q] {
-                *resolution = Some(if c.ops_at_pop >= query_budget {
+        // Per query: its resolution and the run it came from (0 for the
+        // seed, `i + 1` for shard `i`), or `None` to give it back to
+        // per-query search.
+        let resolve = |q: usize| -> Option<(Resolution, usize)> {
+            let certify = |total: u64, c: &Completion| {
+                if total >= query_budget {
                     Resolution::Unknown
                 } else {
                     Resolution::Feasible(c.witness.clone(), c.depth)
-                });
-                continue;
+                }
+            };
+            if let Some(c) = &seed_out.completions[q] {
+                return Some((certify(c.ops_at_pop, c), 0));
             }
+            let mut cumulative = seed_out.query_ops[q];
             if cumulative >= query_budget {
-                *resolution = Some(Resolution::Unknown);
-                continue;
+                return Some((Resolution::Unknown, 0));
             }
             if seed_tripped {
-                continue; // unresolved → per-query fallback
+                return None;
             }
-            let mut settled = false;
-            let mut hit_skip = false;
-            for slot in shard_runs.iter().take(cutoff) {
-                let out = match slot {
-                    ShardSlot::Done(out) => out,
-                    // A shard is only skipped once every query is settled by
-                    // earlier *finished* shards, so a still-unsettled query
-                    // cannot legitimately get here; bail to per-query
-                    // fallback rather than mis-certify.
-                    ShardSlot::Skipped => {
-                        hit_skip = true;
-                        break;
-                    }
+            for (i, slot) in shard_runs.iter().take(cutoff).enumerate() {
+                // A shard is only skipped once every query is settled by
+                // earlier *finished* shards, so a still-unsettled query
+                // cannot legitimately get here; bail to per-query fallback
+                // rather than mis-certify.
+                let ShardSlot::Done(out) = slot else {
+                    return None;
                 };
                 if let Some(c) = &out.completions[q] {
-                    let total = cumulative + c.ops_at_pop;
-                    *resolution = Some(if total >= query_budget {
-                        Resolution::Unknown
-                    } else {
-                        Resolution::Feasible(c.witness.clone(), c.depth)
-                    });
-                    settled = true;
-                    break;
+                    return Some((certify(cumulative + c.ops_at_pop, c), i + 1));
                 }
                 cumulative += out.query_ops[q];
                 if cumulative >= query_budget {
-                    *resolution = Some(Resolution::Unknown);
-                    settled = true;
-                    break;
+                    return Some((Resolution::Unknown, i + 1));
                 }
             }
-            if !settled && !hit_skip && fully_drained {
-                *resolution = Some(if cumulative >= query_budget {
-                    Resolution::Unknown
-                } else {
-                    Resolution::Infeasible
-                });
-            }
-        }
+            fully_drained.then_some((Resolution::Infeasible, cutoff))
+        };
+        let resolved: Vec<Option<(Resolution, usize)>> = (0..queries.len()).map(resolve).collect();
 
-        // Aggregate cost statistics (deterministic parts plus whatever the
-        // contributing shards actually explored).
+        // Cost statistics cover the seed and the shards up to the last one
+        // any resolution came from.  With several workers, later shards may
+        // have run speculatively before the knowledge that settles them
+        // arrived; one worker skips them.  Counting them would make the
+        // statistics depend on timing, so a settled batch of one reports
+        // the sequential counts at every thread count.
+        let stats_end = if resolved.iter().all(Option::is_some) {
+            resolved
+                .iter()
+                .flatten()
+                .map(|(_, run)| *run)
+                .max()
+                .unwrap_or(0)
+        } else {
+            cutoff
+        };
         stats.states_created = seed_out.states_created;
         stats.transitions_fired = seed_out.transitions_fired;
         stats.max_depth = seed_out.max_depth;
         let mut signatures = seed_out.signatures;
         let mut pops = seed_out.pops;
-        for slot in shard_runs.iter().take(cutoff) {
+        for slot in shard_runs.iter().take(stats_end) {
             if let ShardSlot::Done(out) = slot {
                 stats.states_created += out.states_created;
                 stats.transitions_fired += out.transitions_fired;
@@ -1423,7 +1473,10 @@ impl MultiQueryEngine {
         stats.memory_estimate_bytes = stats.states_created * stats.state_bytes;
         stats.duration = start.elapsed();
         MultiQueryEngine {
-            resolutions,
+            resolutions: resolved
+                .into_iter()
+                .map(|r| r.map(|(res, _)| res))
+                .collect(),
             gave_up,
             stats,
             signatures,
@@ -1530,7 +1583,7 @@ mod tests {
             let single = checker.find_test_data(&f, query);
             assert_eq!(
                 result.outcome, single.outcome,
-                "batched and single-query outcomes diverge on {src} for {query:?}"
+                "N-query batch and one-query batch outcomes diverge on {src} for {query:?}"
             );
         }
     }
@@ -1664,17 +1717,63 @@ mod tests {
 
     #[test]
     fn solo_batches_answer_like_the_single_query_engine() {
+        // A solo batch on a shared model skips slicing and explores the
+        // cached model directly, exactly as `check_prepared` does.
         let (f, queries) =
             all_queries("void f(char a __range(0, 3)) { if (a > 1) { x(); } else { y(); } }");
         let checker = ModelChecker::new();
+        let union = queries
+            .iter()
+            .flat_map(|q| q.stmts().iter().copied())
+            .collect();
+        let shared = checker.prepare_shared(&f, union).expect("shared model");
+        let prepared = PreparedModel::new(shared.model());
         for query in &queries {
-            let solo = checker.check_many(&f, std::slice::from_ref(query));
+            let solo = checker.check_many_shared(&f, &shared, std::slice::from_ref(query));
+            let direct = checker.check_prepared(&prepared, query);
+            assert_eq!(solo[0].outcome, direct.outcome);
+            assert_eq!(solo[0].stats.states_created, direct.stats.states_created);
             assert_eq!(
                 solo[0].outcome,
                 checker.find_test_data(&f, query).outcome,
                 "a one-query batch must cost and answer like the plain search"
             );
         }
+    }
+
+    #[test]
+    fn one_query_batches_always_settle_and_charge_every_op_to_their_query() {
+        // The op cap of a batch of one is its query's budget and every op is
+        // charged to that query, so at any budget the search settles, and it
+        // reports Unknown exactly when its total op count reached the
+        // budget.  Budgets above `SHARD_SEED_OPS` run into the shards.
+        let (f, queries) = sharded_fixture();
+        let model = encode_function(&f, &Optimisations::all().encode_options());
+        let prepared = PreparedModel::new(&model);
+        let mut verdicts = [0usize; 3];
+        for budget in [1, 100, 20_000, 40_000, 60_000, 1 << 20] {
+            let checker = ModelChecker::new().with_budget(budget);
+            for query in &queries {
+                for threads in [1, 2] {
+                    let engine = MultiQueryEngine::explore_with_threads(
+                        &checker,
+                        &prepared,
+                        std::slice::from_ref(query),
+                        threads,
+                    );
+                    let result = engine.result(0).expect("a batch of one always settles");
+                    let total = result.stats.states_created + result.stats.transitions_fired;
+                    let unknown = result.outcome == CheckOutcome::Unknown;
+                    assert_eq!(unknown, total >= budget, "budget {budget}, {total} ops");
+                    verdicts[match result.outcome {
+                        CheckOutcome::Feasible { .. } => 0,
+                        CheckOutcome::Infeasible => 1,
+                        CheckOutcome::Unknown => 2,
+                    }] += 1;
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 0), "{verdicts:?}");
     }
 
     #[test]

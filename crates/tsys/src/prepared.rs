@@ -5,8 +5,8 @@
 //! flattened into one contiguous node pool, so the search neither hashes a
 //! string nor chases `Box` pointers.  Preparing costs a handful of `Vec`
 //! growths rather than one allocation per expression node, which is why
-//! [`check_model`](crate::ModelChecker::check_model) can afford to prepare
-//! per query; callers that re-query one encoding repeatedly (ablations,
+//! [`find_test_data`](crate::ModelChecker::find_test_data) can afford to
+//! prepare per query; callers that re-query one encoding repeatedly (ablations,
 //! sweeps) can build a [`PreparedModel`] once and go through
 //! [`check_prepared`](crate::ModelChecker::check_prepared) to skip even
 //! that.

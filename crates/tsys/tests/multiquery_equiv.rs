@@ -1,8 +1,15 @@
-//! Property-based equivalence of the multi-query engine and the single-query
-//! arena search: for random mini-C functions and random decision queries,
+//! Property-based equivalence of an N-query batch and N one-query batches:
+//! for random mini-C functions and random decision queries,
 //! [`ModelChecker::check_many`] must return the same feasibility verdict as
 //! per-query [`ModelChecker::find_test_data`], and every witness must replay
 //! on the interpreter to the queried path.
+//!
+//! Both sides run the same exploration loop, so the verdicts are also
+//! checked against an oracle that does not use the checker at all: the
+//! input domains are at most 6 × 6, so every input is run through the
+//! interpreter, and a query is feasible exactly when some input's trace is
+//! accepted by its path monitor.  An `Infeasible` verdict lowers a bound,
+//! so it must never be given to a query that some input satisfies.
 //!
 //! Functions are generated from integer draws only (the vendored proptest
 //! supports integer-range strategies); conditions read function parameters
@@ -13,6 +20,7 @@ use proptest::prelude::*;
 use tmg_cfg::{build_cfg, enumerate_region_paths, PathSpec};
 use tmg_minic::ast::StmtId;
 use tmg_minic::interp::BranchChoice;
+use tmg_minic::value::InputVector;
 use tmg_minic::{parse_function, parse_program, Interpreter};
 use tmg_tsys::{CheckOutcome, ModelChecker, PathQuery};
 
@@ -134,7 +142,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn multiquery_agrees_with_single_query_and_witnesses_replay(
+    fn n_query_batch_agrees_with_n_one_query_batches_and_the_exhaustive_oracle(
         shape in 0u64..u64::MAX,
         query_shape in 0u64..u64::MAX,
         a_hi in 1i64..6,
@@ -155,11 +163,32 @@ proptest! {
         prop_assert_eq!(batched.len(), queries.len());
         let program = parse_program(&src).expect("program parses");
         let interp = Interpreter::new(&program);
+        // Every input's branch trace, for the exhaustive oracle.
+        let mut traces = Vec::new();
+        for a in 0..=a_hi {
+            for b in 0..=b_hi {
+                let mut input = InputVector::new();
+                input.set("a", a);
+                input.set("b", b);
+                let run = interp.run("f", &input).expect("every input runs");
+                traces.push(run.trace.branch_signature());
+            }
+        }
         for (query, result) in queries.iter().zip(&batched) {
             let single = checker.find_test_data(&f, query);
             prop_assert_eq!(
                 &result.outcome, &single.outcome,
-                "batched vs single verdict on {} for {:?}", src, query.decisions
+                "N-query batch vs one-query batch verdict on {} for {:?}", src, query.decisions
+            );
+            // A query some input satisfies is Feasible; in particular an
+            // Infeasible verdict never has such an input.
+            let satisfiable = traces
+                .iter()
+                .any(|trace| monitor_accepts(&query.decisions, trace));
+            prop_assert!(
+                !satisfiable || matches!(result.outcome, CheckOutcome::Feasible { .. }),
+                "an input follows {:?} in {} but the verdict is {:?}",
+                query.decisions, src, result.outcome
             );
             if let CheckOutcome::Feasible { witness, .. } = &result.outcome {
                 // The witness must drive the interpreter down the queried

@@ -2,16 +2,18 @@
 //! at 1, 2 and 8 worker threads must produce bit-identical verdicts,
 //! witnesses and step counts — one thread takes the pure sequential path,
 //! so this also pins the sharded reduction against the sequential
-//! semantics.  Feasible witnesses are additionally oracle-replayed on the
-//! interpreter under monitor semantics.
+//! semantics.  A one-query batch large enough to shard must also report
+//! the same cost statistics at every thread count.  Feasible witnesses are
+//! additionally oracle-replayed on the interpreter under monitor semantics.
 
+use std::time::Duration;
 use tmg_cfg::{build_cfg, enumerate_region_paths};
 use tmg_minic::ast::StmtId;
 use tmg_minic::interp::BranchChoice;
 use tmg_minic::{parse_function, parse_program, Interpreter};
 use tmg_tsys::{
-    encode_function, CheckOutcome, ModelChecker, MultiQueryEngine, Optimisations, PathQuery,
-    PreparedModel,
+    encode_function, CheckOutcome, CheckResult, ModelChecker, MultiQueryEngine, Optimisations,
+    PathQuery, PreparedModel,
 };
 
 /// The checker's path-monitor acceptance, replayed over an execution trace.
@@ -68,6 +70,29 @@ fn outcomes_at(
     (0..queries.len()).map(|q| engine.outcome(q)).collect()
 }
 
+/// `query` asked as a batch of one, with the wall-clock time zeroed so the
+/// whole result can be compared.
+fn one_query_at(
+    checker: &ModelChecker,
+    prepared: &PreparedModel<'_>,
+    query: &PathQuery,
+    threads: usize,
+) -> CheckResult {
+    let engine = MultiQueryEngine::explore_with_threads(
+        checker,
+        prepared,
+        std::slice::from_ref(query),
+        threads,
+    );
+    let mut result = engine.result(0).expect("a batch of one always settles");
+    result.stats.duration = Duration::ZERO;
+    result
+}
+
+/// Seed-phase op budget of the explorer (`SHARD_SEED_OPS`): a search that
+/// spends more than this is cut into shards.
+const SHARD_SEED_OPS: u64 = 1 << 15;
+
 #[test]
 fn verdicts_witnesses_and_steps_are_identical_across_thread_counts() {
     let (f, queries) = heavy_batch();
@@ -105,6 +130,34 @@ fn verdicts_witnesses_and_steps_are_identical_across_thread_counts() {
         }
     }
     assert!(feasible >= 8, "the heavy batch has feasible paths");
+
+    // One-query batches that shard: outcome and every cost statistic but
+    // the time are those of the sequential schedule at every thread count.
+    let mut sharded = (0, 0);
+    for query in &queries {
+        let reference = one_query_at(&checker, &prepared, query, 1);
+        let stats = &reference.stats;
+        if stats.states_created + stats.transitions_fired <= SHARD_SEED_OPS {
+            continue;
+        }
+        match reference.outcome {
+            CheckOutcome::Feasible { .. } => sharded.0 += 1,
+            CheckOutcome::Infeasible => sharded.1 += 1,
+            CheckOutcome::Unknown => panic!("{:?} exhausts the budget", query.decisions),
+        }
+        for threads in [2, 8] {
+            assert_eq!(
+                one_query_at(&checker, &prepared, query, threads),
+                reference,
+                "{threads}-thread one-query search of {:?} diverges from the sequential one",
+                query.decisions
+            );
+        }
+    }
+    assert!(
+        sharded.0 >= 4 && sharded.1 >= 1,
+        "feasible and infeasible one-query searches cross the seed budget: {sharded:?}"
+    );
 }
 
 #[test]
