@@ -43,8 +43,8 @@
 
 use std::sync::Arc;
 use tmg_bench::{
-    case_study, figure2_3, loadtest, multiquery_crosscheck, shard_crosscheck, sweep_crosscheck,
-    table1, table1_paper, table2, testgen_experiment, LoadtestConfig,
+    case_study, figure2_3, loadtest, multiquery_crosscheck, sweep_crosscheck, table1, table1_paper,
+    table2, testgen_experiment, LoadtestConfig,
 };
 use tmg_core::pipeline::ArtifactStore;
 use tmg_service::{json, FaultPlan, PersistentStore, PersistentStoreConfig, Server};
@@ -856,10 +856,6 @@ fn run_quick() {
     let checked = multiquery_crosscheck();
     println!(
         "quick: N-query batch vs N one-query batches: verdicts identical on {checked} queries — ok"
-    );
-    let sharded = shard_crosscheck();
-    println!(
-        "quick: 1-thread and default-thread shard resolutions identical on {sharded} queries — ok"
     );
     let points = sweep_crosscheck();
     println!(

@@ -365,59 +365,6 @@ pub fn multiquery_crosscheck() -> usize {
     checked
 }
 
-/// CI smoke check of the parallel explorer's determinism contract: the same
-/// shard-triggering batch explored with one worker and with the machine's
-/// default worker count must produce bit-identical verdicts, witnesses and
-/// step counts (the 1-worker run executes the identical shard set in order,
-/// so this cross-checks the deterministic reduction end to end).  Returns
-/// the number of queries compared.
-///
-/// # Panics
-///
-/// Panics (failing CI) on any divergence.
-pub fn shard_crosscheck() -> usize {
-    let heavy = parse_function(
-        r#"
-        void shardck(int key __range(0, 20000), char m __range(0, 3), bool g) {
-            if (key == 4242) { h1(); }
-            if (key == 19000) { h2(); }
-            if (m > 1) { p(); } else { q(); }
-            if (m == 0 && g) { r(); }
-        }
-    "#,
-    )
-    .expect("shard cross-check module parses");
-    let lowered = build_cfg(&heavy);
-    let paths = tmg_cfg::enumerate_region_paths(&lowered.cfg, lowered.regions.root(), 256)
-        .expect("paths enumerate");
-    let queries: Vec<PathQuery> = paths
-        .into_iter()
-        .map(|p| PathQuery::new(p.decisions))
-        .collect();
-    let checker = ModelChecker::new();
-    let model = tmg_tsys::encode_function(&heavy, &Optimisations::all().encode_options());
-    let prepared = tmg_tsys::PreparedModel::new(&model);
-    // At least two workers even on a single-core host — the thread count is
-    // an explicit parameter, and comparing the 1-worker schedule to itself
-    // would make the determinism check vacuous exactly where it matters.
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .max(2);
-    let sequential =
-        tmg_tsys::MultiQueryEngine::explore_with_threads(&checker, &prepared, &queries, 1);
-    let parallel =
-        tmg_tsys::MultiQueryEngine::explore_with_threads(&checker, &prepared, &queries, threads);
-    for q in 0..queries.len() {
-        assert_eq!(
-            sequential.outcome(q),
-            parallel.outcome(q),
-            "1-thread and {threads}-thread explorations diverge on query {q}"
-        );
-    }
-    queries.len()
-}
-
 /// CI smoke check of the incremental sweep's bit-identity guarantee: the
 /// single-walk event sweep must emit exactly the points of the per-bound
 /// `PartitionPlan::compute` reference.  Returns the number of points

@@ -210,8 +210,8 @@ impl WcetAnalysis {
     }
 
     /// Installs a cooperative cancellation token: the stage chain polls it
-    /// at stage boundaries and the model checker at shard-claim boundaries,
-    /// so a fired deadline surfaces as a typed
+    /// at stage boundaries and the model checker every few thousand states
+    /// of an exploration, so a fired deadline surfaces as a typed
     /// [`AnalysisErrorKind::Cancelled`] error instead of a weaker (and
     /// unsound-to-cache) result.  Stages are atomic with respect to
     /// cancellation — each one either completes (and may be cached, it is

@@ -253,12 +253,6 @@ impl ModuleAnalysis {
         }
     }
 
-    /// Wraps an already-configured per-function analysis (its store, cost
-    /// model, generator and cancellation settings all apply).
-    pub fn from_analysis(analysis: WcetAnalysis) -> ModuleAnalysis {
-        ModuleAnalysis { analysis }
-    }
-
     /// Replaces the *base* target cost model (per-function priced models are
     /// derived from it by adding callee bounds).
     pub fn with_cost_model(mut self, cost_model: CostModel) -> ModuleAnalysis {

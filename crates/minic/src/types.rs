@@ -56,11 +56,6 @@ impl Ty {
         }
     }
 
-    /// Whether the type is signed.
-    pub fn is_signed(self) -> bool {
-        matches!(self, Ty::I8 | Ty::I16 | Ty::I32)
-    }
-
     /// Inclusive range of representable values.
     ///
     /// ```

@@ -42,7 +42,7 @@
 //! A request with `deadline_ms` is declined (typed `cancelled` error) when
 //! the deadline expires before a worker picks it up, and the deadline is
 //! propagated into the model checker as a cooperative cancellation token,
-//! so an in-flight analysis stops at the next stage or shard boundary.
+//! so an in-flight analysis stops at the next stage or exploration checkpoint.
 //! Stages are atomic with respect to cancellation: each completes fully
 //! (and is then correct and safely cacheable) or unwinds with nothing
 //! published — a deadline can never poison the cache.
@@ -267,10 +267,6 @@ pub struct Server {
     /// for `profile`; faster ones drop them at respond time.
     slow_threshold_ms: u64,
     latency: Arc<LatencySet>,
-    /// Per-client cap on *queued* jobs (fair-queuing quota); defaults to
-    /// half the queue capacity so no single client can monopolise the
-    /// backlog.
-    client_quota: Option<usize>,
     /// Wire-level fault shots consumed by the TCP transport on response
     /// writes (see [`crate::fault::FaultKind::WIRE`]).  Inert by default.
     wire_faults: crate::fault::FaultPlan,
@@ -792,7 +788,6 @@ impl Server {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             slow_threshold_ms: 0,
             latency,
-            client_quota: None,
             wire_faults: crate::fault::FaultPlan::none(),
             resident: ResidentKeys::default(),
         }
@@ -823,16 +818,6 @@ impl Server {
         self
     }
 
-    /// Overrides the per-client fair-queuing quota: the number of jobs one
-    /// client (connection, or declared `tenant`) may have queued at once.
-    /// Defaults to half the queue capacity (minimum 1), so a flooding
-    /// client can never occupy the whole backlog.  Requests beyond the
-    /// quota are declined with a typed `overloaded` error.
-    pub fn with_client_quota(mut self, quota: usize) -> Server {
-        self.client_quota = Some(quota);
-        self
-    }
-
     /// Arms wire-level fault injection on the TCP transport (see
     /// [`crate::fault::FaultKind::WIRE`]).  The plan is shared: the same
     /// plan can also arm the disk-tier kinds on the store.
@@ -841,10 +826,13 @@ impl Server {
         self
     }
 
-    /// The effective per-client quota (see [`Server::with_client_quota`]).
+    /// The per-client fair-queuing quota: the number of jobs one client
+    /// (connection, or declared `tenant`) may have queued at once.  Half
+    /// the queue capacity (minimum 1), so a flooding client can never
+    /// occupy the whole backlog.  Requests beyond the quota are declined
+    /// with a typed `overloaded` error.
     pub(crate) fn effective_quota(&self) -> usize {
-        self.client_quota
-            .unwrap_or_else(|| (self.queue_capacity / 2).max(1))
+        (self.queue_capacity / 2).max(1)
     }
 
     pub(crate) fn wire_fault_plan(&self) -> &crate::fault::FaultPlan {

@@ -252,12 +252,6 @@ impl PersistentStoreConfig {
         self
     }
 
-    /// Overrides the group-commit latency window.
-    pub fn with_group_commit_window_ms(mut self, ms: u64) -> PersistentStoreConfig {
-        self.group_commit_window_ms = ms;
-        self
-    }
-
     /// Overrides the in-memory per-stage entry cap.
     pub fn with_memory_capacity(mut self, capacity: usize) -> PersistentStoreConfig {
         self.memory_capacity = capacity;

@@ -34,7 +34,7 @@ fn temp_root(tag: &str) -> PathBuf {
 
 fn controller() -> tmg_minic::Function {
     // The infeasible `demand > 3 && demand < 2` pair forces a residual
-    // checker goal, so the prepare-model stage and the sharded explorer run.
+    // checker goal, so the prepare-model stage and the explorer run.
     parse_function(
         r#"
         void controller(char demand __range(0, 6), bool enabled) {

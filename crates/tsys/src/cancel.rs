@@ -1,12 +1,10 @@
 //! Cooperative cancellation for long-running checker searches.
 //!
 //! A [`CancelToken`] carries an optional wall-clock deadline and a manual
-//! cancel flag.  The sharded explorer ([`crate::multiquery`]) polls it at
-//! shard-claim boundaries — the natural quiescent points of the parallel
-//! search — so a cancelled exploration tears down deterministically: the
-//! remaining shards are claimed and immediately marked skipped, the worker
-//! scope joins, and the engine *unwinds* with a [`Cancelled`] payload
-//! instead of returning partial resolutions.  Nothing computed under a
+//! cancel flag.  The explorer ([`crate::multiquery`]) polls it before and
+//! after an exploration and every few thousand pops inside it, and a fired
+//! token makes the engine *unwind* with a [`Cancelled`] payload instead of
+//! returning partial resolutions.  Nothing computed under a
 //! fired token is ever observable (and therefore never cacheable) by the
 //! staged pipeline: the unwind crosses the infallible stage traits without
 //! touching their insert paths.

@@ -22,7 +22,7 @@
 
 use crate::encode::encode_function;
 use crate::model::{Model, VarRole};
-use crate::multiquery::{default_explore_threads, MultiQueryEngine};
+use crate::multiquery::MultiQueryEngine;
 use crate::opt::{apply_optimisations_preserving, OptReport, Optimisations};
 use crate::prepared::{
     ExprPool, FastGuard, INode, NodeId, OwnedPreparedModel, PreparedModel, PreparedTransition,
@@ -172,8 +172,8 @@ pub struct ModelChecker {
     /// `Debug`-rendered configuration, so the pipeline's content-addressed
     /// artifact keys change with it.
     pub slicing: bool,
-    /// Cooperative cancellation handle, polled at shard-claim boundaries of
-    /// the multi-query explorer and between per-query fallback searches.  A
+    /// Cooperative cancellation handle, polled every few thousand pops of
+    /// the exploration and between per-query fallback searches.  A
     /// fired token makes the search *unwind* with [`crate::cancel::Cancelled`]
     /// (caught by [`crate::cancel::catch_cancel`] at the pipeline boundary)
     /// rather than return a weaker verdict — a cancelled search never
@@ -485,11 +485,7 @@ impl ModelChecker {
 
     /// Runs one query on a [`PreparedModel`], reusing its outgoing
     /// transition index and pre-resolved expressions across queries.  The
-    /// search is the [`MultiQueryEngine`] exploration of a batch of one, so
-    /// a large search shards across the machine's cores.  Its verdict and
-    /// witness are the same at every thread count, and so are its cost
-    /// statistics (`duration` aside) unless the budget runs out inside a
-    /// shard.
+    /// search is the [`MultiQueryEngine`] exploration of a batch of one.
     pub fn check_prepared(&self, prepared: &PreparedModel<'_>, query: &PathQuery) -> CheckResult {
         self.check_prepared_pinned(prepared, query, &[])
     }
@@ -516,15 +512,9 @@ impl ModelChecker {
         query: &PathQuery,
         pins: &[(usize, i64)],
     ) -> CheckResult {
-        MultiQueryEngine::explore_pinned(
-            self,
-            prepared,
-            std::slice::from_ref(query),
-            pins,
-            default_explore_threads(),
-        )
-        .result(0)
-        .expect("a batch of one always settles")
+        MultiQueryEngine::explore_pinned(self, prepared, std::slice::from_ref(query), pins)
+            .result(0)
+            .expect("a batch of one always settles")
     }
 }
 
@@ -582,20 +572,6 @@ pub(crate) struct PoppedState {
     pub(crate) loc: u32,
     pub(crate) monitor: u32,
     pub(crate) depth: u64,
-}
-
-/// One frontier work item extracted from a paused arena: a concrete pending
-/// state, or a pending lazy split (`split = (var, lo, hi)`) whose children
-/// materialise in ascending value order.  The multi-query explorer chunks
-/// these into deterministic shards.
-#[derive(Debug, Clone)]
-pub(crate) struct FrontierEntry {
-    pub(crate) loc: u32,
-    pub(crate) monitor: u32,
-    pub(crate) depth: u64,
-    pub(crate) vals: Vec<i64>,
-    pub(crate) known: Vec<u64>,
-    pub(crate) split: Option<(u32, i64, i64)>,
 }
 
 /// Stack-disciplined arena of packed states: entry metadata in one vector,
@@ -661,63 +637,6 @@ impl StateArena {
         });
         self.values.extend_from_slice(vals);
         self.known.extend_from_slice(known);
-    }
-
-    /// Remaining width of every pending entry, in pop order units: `1` for a
-    /// concrete entry, the number of unmaterialised children for a split.
-    pub(crate) fn frontier_shape(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| match e.kind {
-            EntryKind::Concrete => 1,
-            EntryKind::Split { next, hi, .. } => (hi - next + 1).max(1) as u64,
-        })
-    }
-
-    /// Consumes the arena into frontier entries in **pop order** (top of the
-    /// stack first), each owning its packed state block.
-    pub(crate) fn drain_frontier(&mut self) -> Vec<FrontierEntry> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for (k, entry) in self.entries.iter().enumerate().rev() {
-            let vals = self.values[k * self.vars..(k + 1) * self.vars].to_vec();
-            let known = self.known[k * self.words..(k + 1) * self.words].to_vec();
-            out.push(FrontierEntry {
-                loc: entry.loc,
-                monitor: entry.monitor,
-                depth: entry.depth,
-                vals,
-                known,
-                split: match entry.kind {
-                    EntryKind::Concrete => None,
-                    EntryKind::Split { var, next, hi } => Some((var, next, hi)),
-                },
-            });
-        }
-        self.entries.clear();
-        self.values.clear();
-        self.known.clear();
-        out
-    }
-
-    /// Pushes a frontier entry back onto the stack (shard seeding).
-    pub(crate) fn push_frontier(&mut self, entry: &FrontierEntry) {
-        match entry.split {
-            None => self.push(
-                entry.loc,
-                entry.monitor,
-                entry.depth,
-                &entry.vals,
-                &entry.known,
-            ),
-            Some((var, lo, hi)) => self.push_split(
-                entry.loc,
-                entry.monitor,
-                entry.depth,
-                &entry.vals,
-                &entry.known,
-                var,
-                lo,
-                hi,
-            ),
-        }
     }
 
     pub(crate) fn pop(&mut self, vals: &mut [i64], known: &mut [u64]) -> Option<PoppedState> {

@@ -29,17 +29,14 @@
 //!   from the shared, decision-signature-annotated graph
 //!   ([`ModelChecker::check_many`]), with results bit-identical to
 //!   one-query searches.  It is the crate's only search loop: a single
-//!   query is explored as a batch of one.  Since PR 5 the batch path runs a two-stage
-//!   *slice→shard* pipeline: the model is first reduced to the
-//!   cone of influence of the queried decisions
-//!   ([`opt::slice_for_queries`], fed by `tmg_cfg`'s def/use dependence
-//!   analysis; witnesses are completed against the full model), then
-//!   explored by a deterministic work-sharing parallel search whose
-//!   verdicts, witnesses and step counts are reproducible for every thread
-//!   count — see `crates/tsys/README.md` for the architecture and the
-//!   determinism contract;
-//! * [`metrics`] — process-wide observability counters (slicing reductions,
-//!   shard activity, visited-table contention) embedded in the service
+//!   query is explored as a batch of one, in one sequential run.  The
+//!   batch path first reduces the model to the cone of influence of the
+//!   queried decisions ([`opt::slice_for_queries`], fed by `tmg_cfg`'s
+//!   def/use dependence analysis) and completes the slice's witnesses
+//!   against the full model — see `crates/tsys/README.md` for the
+//!   architecture and the budget rules;
+//! * [`metrics`] — process-wide observability counters (states explored,
+//!   slicing reductions, witness completions) embedded in the service
 //!   `stats` snapshot.
 //!
 //! # Example: generate test data for a path

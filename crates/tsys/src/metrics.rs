@@ -3,12 +3,15 @@
 //! Perf work on the checker needs to stay observable from the outside: the
 //! `tmg-service/v1` `stats` op (and `reproduce -- sweep --stats`) embeds a
 //! snapshot of these counters in its `tmg-tier-stats/v1` payload, so an
-//! operator can see how much the cone-of-influence reduction and the sharded
+//! operator can see how much the cone-of-influence reduction and the
 //! explorer are actually doing without attaching a profiler.
 //!
 //! The counters are monotone process-wide atomics (relaxed ordering; they are
 //! statistics, not synchronisation) updated by [`crate::opt`] slicing and the
-//! [`crate::multiquery`] explorer.
+//! [`crate::multiquery`] explorer.  The five shard and visited-table
+//! counters belong to a parallel explorer that no longer exists: nothing
+//! bumps them, and they stay in the schema, at 0, for the readers that name
+//! their keys.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,17 +82,15 @@ counters! {
     STATES_SLICED_VARS => "sliced_away_vars",
     /// Sliced witnesses successfully completed against the full model.
     WITNESSES_RECONSTRUCTED => "witnesses_reconstructed",
-    /// Shards executed by the parallel explorer.
+    /// Always 0: shards executed by the retired parallel explorer.
     SHARDS_EXPLORED => "shards_explored",
-    /// Shards skipped because every query was already settled by an earlier
-    /// (lexicographically smaller) finished shard.
+    /// Always 0: shards the retired parallel explorer skipped.
     SHARDS_SKIPPED => "shards_skipped",
-    /// Entries inserted into the sharded visited table.
+    /// Always 0: entries inserted into the retired visited table.
     VISITED_INSERTIONS => "visited_insertions",
-    /// Revisits pruned through the sharded visited table.
+    /// Always 0: revisits pruned through the retired visited table.
     VISITED_HITS => "visited_hits",
-    /// Lock acquisitions on a visited-table stripe that another shard was
-    /// holding (contention indicator).
+    /// Always 0: contended visited-table stripe locks.
     VISITED_SHARD_COLLISIONS => "shard_collisions",
 }
 
@@ -113,11 +114,6 @@ bump_fns! {
     add_sliced_stmts => STATES_SLICED_STMTS,
     add_sliced_vars => STATES_SLICED_VARS,
     add_witnesses_reconstructed => WITNESSES_RECONSTRUCTED,
-    add_shards_explored => SHARDS_EXPLORED,
-    add_shards_skipped => SHARDS_SKIPPED,
-    add_visited_insertions => VISITED_INSERTIONS,
-    add_visited_hits => VISITED_HITS,
-    add_visited_collisions => VISITED_SHARD_COLLISIONS,
 }
 
 #[cfg(test)]
@@ -148,7 +144,6 @@ mod tests {
         let before = snapshot();
         add_states_explored(3);
         add_sliced_batches(1);
-        add_visited_collisions(2);
         let after = snapshot();
         assert!(after.STATES_EXPLORED >= before.STATES_EXPLORED + 3);
         assert!(after.SLICED_BATCHES > before.SLICED_BATCHES);

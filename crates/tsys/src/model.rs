@@ -185,11 +185,6 @@ impl Model {
             .fold(1u128, |acc, d| acc.saturating_mul(d))
     }
 
-    /// Transitions leaving `loc`.
-    pub fn transitions_from(&self, loc: LocId) -> Vec<&Transition> {
-        self.transitions.iter().filter(|t| t.from == loc).collect()
-    }
-
     /// Basic well-formedness: locations in range, guard/decision consistency.
     pub fn validate(&self) -> Result<(), String> {
         for t in &self.transitions {

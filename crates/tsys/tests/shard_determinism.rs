@@ -1,19 +1,17 @@
-//! Determinism of the sharded parallel explorer: the same heavy batch run
-//! at 1, 2 and 8 worker threads must produce bit-identical verdicts,
-//! witnesses and step counts — one thread takes the pure sequential path,
-//! so this also pins the sharded reduction against the sequential
-//! semantics.  A one-query batch large enough to shard must also report
-//! the same cost statistics at every thread count.  Feasible witnesses are
-//! additionally oracle-replayed on the interpreter under monitor semantics.
+//! The explorer on a heavy batch (a 20 001-value split at the first guard
+//! read): an N-query batch must answer every query exactly as N one-query
+//! batches do — verdict, witness and step count — and every feasible
+//! witness must replay on the interpreter under monitor semantics.  At a
+//! budget too small to settle the space, the batch certifies the same
+//! Unknowns as the one-query searches.
 
-use std::time::Duration;
 use tmg_cfg::{build_cfg, enumerate_region_paths};
 use tmg_minic::ast::StmtId;
 use tmg_minic::interp::BranchChoice;
 use tmg_minic::{parse_function, parse_program, Interpreter};
 use tmg_tsys::{
-    encode_function, CheckOutcome, CheckResult, ModelChecker, MultiQueryEngine, Optimisations,
-    PathQuery, PreparedModel,
+    encode_function, CheckOutcome, ModelChecker, MultiQueryEngine, Optimisations, PathQuery,
+    PreparedModel,
 };
 
 /// The checker's path-monitor acceptance, replayed over an execution trace.
@@ -35,8 +33,8 @@ fn monitor_accepts(decisions: &[(StmtId, BranchChoice)], trace: &[(StmtId, Branc
     matched == decisions.len()
 }
 
-/// A batch wide enough to trip the shard trigger: a 20001-value split at the
-/// first guard plus enough branching for a few dozen queries.
+/// A 20001-value split at the first guard plus enough branching for a few
+/// dozen queries.
 const HEAVY_SRC: &str = r#"
     void f(int key __range(0, 20000), char mode __range(0, 5), char gate __range(0, 1)) {
         if (key == 1234) { hit1(); }
@@ -60,125 +58,99 @@ fn heavy_batch() -> (tmg_minic::Function, Vec<PathQuery>) {
     (f, queries)
 }
 
-fn outcomes_at(
+/// Every query's outcome in one N-query batch.
+fn batch_outcomes(
     checker: &ModelChecker,
     prepared: &PreparedModel<'_>,
     queries: &[PathQuery],
-    threads: usize,
 ) -> Vec<Option<CheckOutcome>> {
-    let engine = MultiQueryEngine::explore_with_threads(checker, prepared, queries, threads);
+    let engine = MultiQueryEngine::explore(checker, prepared, queries);
     (0..queries.len()).map(|q| engine.outcome(q)).collect()
 }
 
-/// `query` asked as a batch of one, with the wall-clock time zeroed so the
-/// whole result can be compared.
-fn one_query_at(
+/// Every query's outcome asked as a batch of one.
+fn one_query_outcomes(
     checker: &ModelChecker,
     prepared: &PreparedModel<'_>,
-    query: &PathQuery,
-    threads: usize,
-) -> CheckResult {
-    let engine = MultiQueryEngine::explore_with_threads(
-        checker,
-        prepared,
-        std::slice::from_ref(query),
-        threads,
-    );
-    let mut result = engine.result(0).expect("a batch of one always settles");
-    result.stats.duration = Duration::ZERO;
-    result
+    queries: &[PathQuery],
+) -> Vec<CheckOutcome> {
+    queries
+        .iter()
+        .map(|query| {
+            MultiQueryEngine::explore(checker, prepared, std::slice::from_ref(query))
+                .outcome(0)
+                .expect("a batch of one always settles")
+        })
+        .collect()
 }
 
-/// Seed-phase op budget of the explorer (`SHARD_SEED_OPS`): a search that
-/// spends more than this is cut into shards.
-const SHARD_SEED_OPS: u64 = 1 << 15;
-
 #[test]
-fn verdicts_witnesses_and_steps_are_identical_across_thread_counts() {
+fn heavy_batch_matches_one_query_batches_and_replays_every_witness() {
     let (f, queries) = heavy_batch();
     assert!(queries.len() >= 32, "batch should be heavy");
     let checker = ModelChecker::new();
     let model = encode_function(&f, &Optimisations::all().encode_options());
     let prepared = PreparedModel::new(&model);
-    let reference = outcomes_at(&checker, &prepared, &queries, 1);
-    assert!(
-        reference.iter().all(|o| o.is_some()),
-        "the heavy batch settles within budget"
-    );
-    for threads in [2, 8] {
-        let outcomes = outcomes_at(&checker, &prepared, &queries, threads);
+    let batched = batch_outcomes(&checker, &prepared, &queries);
+    let single = one_query_outcomes(&checker, &prepared, &queries);
+    for ((query, batched), single) in queries.iter().zip(&batched).zip(&single) {
         // Bit-identical: verdicts, witness vectors and step counts.
         assert_eq!(
-            outcomes, reference,
-            "{threads}-thread exploration diverges from the sequential path"
+            batched.as_ref(),
+            Some(single),
+            "the batch diverges from the one-query search of {:?}",
+            query.decisions
         );
     }
     // Oracle replay: every feasible witness drives the interpreter down its
     // queried decision sequence.
     let program = parse_program(HEAVY_SRC).expect("parse");
     let interp = Interpreter::new(&program);
-    let mut feasible = 0;
-    for (query, outcome) in queries.iter().zip(&reference) {
-        if let Some(CheckOutcome::Feasible { witness, .. }) = outcome {
-            feasible += 1;
-            let run = interp.run("f", witness).expect("witness replays");
-            assert!(
-                monitor_accepts(&query.decisions, &run.trace.branch_signature()),
-                "witness {witness:?} does not follow {:?}",
-                query.decisions
-            );
-        }
-    }
-    assert!(feasible >= 8, "the heavy batch has feasible paths");
-
-    // One-query batches that shard: outcome and every cost statistic but
-    // the time are those of the sequential schedule at every thread count.
-    let mut sharded = (0, 0);
-    for query in &queries {
-        let reference = one_query_at(&checker, &prepared, query, 1);
-        let stats = &reference.stats;
-        if stats.states_created + stats.transitions_fired <= SHARD_SEED_OPS {
-            continue;
-        }
-        match reference.outcome {
-            CheckOutcome::Feasible { .. } => sharded.0 += 1,
-            CheckOutcome::Infeasible => sharded.1 += 1,
+    let (mut feasible, mut infeasible) = (0, 0);
+    for (query, outcome) in queries.iter().zip(&single) {
+        match outcome {
+            CheckOutcome::Feasible { witness, .. } => {
+                feasible += 1;
+                let run = interp.run("f", witness).expect("witness replays");
+                assert!(
+                    monitor_accepts(&query.decisions, &run.trace.branch_signature()),
+                    "witness {witness:?} does not follow {:?}",
+                    query.decisions
+                );
+            }
+            CheckOutcome::Infeasible => infeasible += 1,
             CheckOutcome::Unknown => panic!("{:?} exhausts the budget", query.decisions),
-        }
-        for threads in [2, 8] {
-            assert_eq!(
-                one_query_at(&checker, &prepared, query, threads),
-                reference,
-                "{threads}-thread one-query search of {:?} diverges from the sequential one",
-                query.decisions
-            );
         }
     }
     assert!(
-        sharded.0 >= 4 && sharded.1 >= 1,
-        "feasible and infeasible one-query searches cross the seed budget: {sharded:?}"
+        feasible >= 8 && infeasible >= 1,
+        "the heavy batch has feasible and infeasible paths: {feasible}/{infeasible}"
     );
 }
 
 #[test]
-fn budget_bound_batches_certify_identically_across_thread_counts() {
-    // A budget too small to settle the space: every thread count must
-    // certify the same Unknowns (exact attributed-op accounting across the
-    // shard reduction).
+fn tight_budget_certifies_unknowns_like_one_query_batches() {
+    // A budget too small to settle the space: exact attributed-op
+    // accounting certifies, inside the batch, the Unknowns that the
+    // one-query searches report; whatever the shared cap leaves unsettled
+    // goes back to a one-query search.
     let (f, queries) = heavy_batch();
     let tight = ModelChecker::new().with_budget(200_000);
     let model = encode_function(&f, &Optimisations::all().encode_options());
     let prepared = PreparedModel::new(&model);
-    let reference = outcomes_at(&tight, &prepared, &queries, 1);
-    for threads in [2, 8] {
-        let outcomes = outcomes_at(&tight, &prepared, &queries, threads);
-        assert_eq!(
-            outcomes, reference,
-            "{threads}-thread budget accounting diverges from sequential"
-        );
+    let batched = batch_outcomes(&tight, &prepared, &queries);
+    let single = one_query_outcomes(&tight, &prepared, &queries);
+    for ((query, batched), single) in queries.iter().zip(&batched).zip(&single) {
+        if let Some(batched) = batched {
+            assert_eq!(
+                batched, single,
+                "budget accounting of {:?}",
+                query.decisions
+            );
+        }
     }
     assert!(
-        reference
+        batched
             .iter()
             .any(|o| matches!(o, Some(CheckOutcome::Unknown))),
         "the tight budget should leave certified Unknowns"
@@ -187,8 +159,8 @@ fn budget_bound_batches_certify_identically_across_thread_counts() {
 
 #[test]
 fn check_many_matches_per_query_search_on_the_heavy_batch() {
-    // End-to-end: the public batch entry point (slicing + sharding + witness
-    // completion) against the per-query reference engine.
+    // End-to-end: the public batch entry point (slicing + exploration +
+    // witness completion) against the per-query reference engine.
     let (f, queries) = heavy_batch();
     let checker = ModelChecker::new();
     let batched = checker.check_many(&f, &queries);
@@ -199,5 +171,51 @@ fn check_many_matches_per_query_search_on_the_heavy_batch() {
             "batched vs single on {:?}",
             query.decisions
         );
+    }
+}
+
+#[test]
+fn one_query_budgets_are_exact_on_the_heavy_batch() {
+    // The run checks its op cap before every pop, so a one-query search
+    // that runs out of budget stops within one pop's expansion of it.
+    // After the root's 20 001-value split of `key`, one pop expands into
+    // at most one split of another input or the transitions leaving one
+    // location (two ops each).
+    let (f, queries) = heavy_batch();
+    let model = encode_function(&f, &Optimisations::all().encode_options());
+    let prepared = PreparedModel::new(&model);
+    let widest_other_split = model
+        .vars
+        .iter()
+        .filter(|v| v.name != "key")
+        .map(|v| v.domain_size())
+        .max()
+        .unwrap_or(0);
+    let widest_fan_out = (0..model.locations)
+        .map(|loc| model.transitions.iter().filter(|t| t.from.0 == loc).count() as u64)
+        .max()
+        .unwrap_or(0);
+    let largest_expansion = widest_other_split.max(2 * widest_fan_out);
+    for budget in [35_000, 50_000] {
+        let checker = ModelChecker::new().with_budget(budget);
+        let mut unknown = 0;
+        for query in &queries {
+            let result =
+                MultiQueryEngine::explore(&checker, &prepared, std::slice::from_ref(query))
+                    .result(0)
+                    .expect("a batch of one always settles");
+            let total = result.stats.states_created + result.stats.transitions_fired;
+            if result.outcome == CheckOutcome::Unknown {
+                unknown += 1;
+                assert!(
+                    total >= budget && total < budget + largest_expansion,
+                    "budget {budget}: {total} ops on {:?}",
+                    query.decisions
+                );
+            } else {
+                assert!(total < budget, "budget {budget}: settled at {total} ops");
+            }
+        }
+        assert!(unknown > 0, "budget {budget} leaves some query Unknown");
     }
 }
