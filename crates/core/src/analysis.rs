@@ -297,10 +297,7 @@ impl WcetAnalysis {
     > {
         let staged = tmg_tsys::catch_cancel(|| match &self.store {
             None => analyse_staged_detailed(&ArtifactStore::new(), self, function, None),
-            Some(tier) => match tier.as_memory_store() {
-                Some(memory) => analyse_staged_detailed(memory, self, function, None),
-                None => analyse_staged_detailed(&**tier, self, function, None),
-            },
+            Some(tier) => analyse_staged_detailed(&**tier, self, function, None),
         })
         .unwrap_or_else(|_| Err(AnalysisError::cancelled(Stage::Testgen, &function.name)))?;
         Ok((
@@ -324,11 +321,6 @@ impl WcetAnalysis {
     /// [`Self::analyse`] (or, with an input space, the exhaustive variant)
     /// for a caller that already derived the function's fingerprint
     /// `function_key` and its [`bound_key`] `key` under this analysis.
-    ///
-    /// Dispatches the staged run to the statically-typed in-memory path
-    /// whenever the tier is (or wraps nothing but) the plain
-    /// [`ArtifactStore`] — the stage chain then monomorphises and inlines —
-    /// and to the dynamic path for every other tier.
     pub(crate) fn run_keyed(
         &self,
         function: &Function,
@@ -349,12 +341,7 @@ impl WcetAnalysis {
                 key,
                 input_space,
             ),
-            Some(tier) => match tier.as_memory_store() {
-                Some(memory) => {
-                    analyse_staged(memory, self, function, function_key, key, input_space)
-                }
-                None => analyse_staged(&**tier, self, function, function_key, key, input_space),
-            },
+            Some(tier) => analyse_staged(&**tier, self, function, function_key, key, input_space),
         })
         .unwrap_or_else(|_| Err(AnalysisError::cancelled(Stage::Testgen, &function.name)))
     }

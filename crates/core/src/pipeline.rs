@@ -320,16 +320,6 @@ pub trait TieredStore: fmt::Debug + Send + Sync {
     /// The in-memory tier backing this store (counter snapshots, tests).
     fn memory(&self) -> &ArtifactStore;
 
-    /// Returns the whole store as the plain in-memory tier when that is what
-    /// it is.  The staged runner uses this to take its statically-typed
-    /// (fully inlinable) path for [`ArtifactStore`]-backed analyses even
-    /// when the store was attached behind `dyn TieredStore` — the stage
-    /// bodies are hot enough that devirtualising them is measurable on
-    /// millisecond-scale analyses.
-    fn as_memory_store(&self) -> Option<&ArtifactStore> {
-        None
-    }
-
     /// The lowering stage, with the function fingerprint already computed.
     fn lowered_keyed(&self, function: &Function, key: u64) -> Arc<LoweredArtifact>;
 
@@ -695,10 +685,6 @@ impl ArtifactStore {
 impl TieredStore for ArtifactStore {
     fn memory(&self) -> &ArtifactStore {
         self
-    }
-
-    fn as_memory_store(&self) -> Option<&ArtifactStore> {
-        Some(self)
     }
 
     fn lowered_keyed(&self, function: &Function, key: u64) -> Arc<LoweredArtifact> {

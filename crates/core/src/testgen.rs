@@ -18,7 +18,6 @@
 use crate::partition::{PartitionPlan, SegmentId, SegmentKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -211,13 +210,6 @@ impl std::fmt::Debug for HybridGenerator {
     }
 }
 
-/// A sequentially-measured generation evaluation must cost at least this
-/// much before the population fan-out moves to the worker pool: dispatching
-/// microsecond-sized target runs costs more than running them inline.
-/// Results are identical either way (the evaluation is pure and collected
-/// in order), so the switch can be made adaptively mid-search.
-const PARALLEL_EVAL_MIN: std::time::Duration = std::time::Duration::from_millis(2);
-
 impl Default for HybridGenerator {
     fn default() -> Self {
         HybridGenerator::new()
@@ -269,59 +261,32 @@ impl HybridGenerator {
         goals
     }
 
-    /// Runs both phases and returns the test suite.
+    /// Runs both phases and returns the test suite.  The residual checker
+    /// batch, if any, is answered by [`ModelChecker::check_many`].
     pub fn generate(
         &self,
         function: &Function,
         lowered: &LoweredFunction,
         plan: &PartitionPlan,
     ) -> TestSuite {
-        self.generate_with_model(function, lowered, plan, None)
+        self.generate_with_model_provider(function, lowered, plan, || None)
     }
 
     /// Like [`generate`](HybridGenerator::generate), but answering the
     /// residual checker batch through a previously prepared
     /// [`SharedCheckModel`] (the pipeline's cached artifact), skipping the
-    /// per-batch optimisation/encoding/preparation.  Suites are bit-identical
-    /// with and without the shared model: a batch the artifact does not
-    /// cover falls back to the plain [`ModelChecker::check_many`] path
-    /// internally.
-    pub fn generate_with_model(
+    /// per-batch optimisation, encoding and preparation.  `provider` is
+    /// invoked only when a residual batch exists, so callers (the staged
+    /// pipeline) never pay for a model that a fully heuristic-covered
+    /// function would not use.  Suites are bit-identical with and without a
+    /// model: a provider that returns `None`, or a batch the model does not
+    /// cover, goes through the plain [`ModelChecker::check_many`].
+    pub fn generate_with_model_provider(
         &self,
         function: &Function,
         lowered: &LoweredFunction,
         plan: &PartitionPlan,
-        shared: Option<&SharedCheckModel>,
-    ) -> TestSuite {
-        self.generate_impl(function, lowered, plan, SharedSource::Ready(shared))
-    }
-
-    /// Like [`generate_with_model`](HybridGenerator::generate_with_model),
-    /// but the shared model is supplied lazily: `provider` is invoked only
-    /// when a residual checker batch actually exists, so callers (the
-    /// staged pipeline) never pay for optimising and encoding a model that
-    /// a fully heuristic-covered function would not use.
-    pub fn generate_with_model_provider<'a>(
-        &self,
-        function: &Function,
-        lowered: &LoweredFunction,
-        plan: &PartitionPlan,
-        provider: impl FnOnce() -> Option<Arc<SharedCheckModel>> + 'a,
-    ) -> TestSuite {
-        self.generate_impl(
-            function,
-            lowered,
-            plan,
-            SharedSource::Lazy(Box::new(provider)),
-        )
-    }
-
-    fn generate_impl(
-        &self,
-        function: &Function,
-        lowered: &LoweredFunction,
-        plan: &PartitionPlan,
-        shared: SharedSource<'_>,
+        provider: impl FnOnce() -> Option<Arc<SharedCheckModel>>,
     ) -> TestSuite {
         let goals = self.goals(lowered, plan);
         let machine = Machine::new(&lowered.cfg, function, self.cost_model.clone());
@@ -343,21 +308,19 @@ impl HybridGenerator {
         // one shared exploration, merged in goal order.
         let _span = tmg_obs::span("testgen:checker");
         let residual: Vec<usize> = (0..goals.len()).filter(|&i| status[i].is_none()).collect();
-        // A lazily supplied model is materialised only for a non-empty
-        // residual batch.
-        let holder: Option<Arc<SharedCheckModel>>;
-        let shared: Option<&SharedCheckModel> = match shared {
-            SharedSource::Ready(ready) => ready,
-            SharedSource::Lazy(build) if !residual.is_empty() => {
-                holder = build();
-                holder.as_deref()
+        if !residual.is_empty() {
+            let shared = provider();
+            let resolved = self.check_residual_batched(
+                function,
+                lowered,
+                &machine,
+                &goals,
+                &residual,
+                shared.as_deref(),
+            );
+            for (i, outcome) in resolved {
+                status[i] = Some(outcome);
             }
-            SharedSource::Lazy(_) => None,
-        };
-        let resolved =
-            self.check_residual_batched(function, lowered, &machine, &goals, &residual, shared);
-        for (i, outcome) in resolved {
-            status[i] = Some(outcome);
         }
         into_suite(goals, status)
     }
@@ -434,32 +397,17 @@ impl HybridGenerator {
             })
             .collect();
         let mut stall = 0usize;
-        // Fan the runs out only once a generation's misses are demonstrably
-        // expensive enough to amortise the pool dispatch.
-        let mut eval_in_parallel = false;
         for _generation in 0..config.max_generations {
-            let mut fresh: Vec<&[i64]> = Vec::new();
             for genome in &population {
-                if !memo.contains_key(&**genome) && !fresh.contains(&&**genome) {
-                    fresh.push(genome);
+                if memo.contains_key(&**genome) {
+                    continue;
                 }
-            }
-            let run = |genome: &&[i64]| machine.run(&to_vector(genome), &[]).ok();
-            let runs: Vec<Option<tmg_target::RunResult>> = if eval_in_parallel && fresh.len() > 1 {
-                fresh.par_iter().map(run).collect()
-            } else {
-                let eval_start = std::time::Instant::now();
-                let runs = fresh.iter().map(run).collect();
-                eval_in_parallel = eval_start.elapsed() >= PARALLEL_EVAL_MIN;
-                runs
-            };
-            for (genome, run) in fresh.into_iter().zip(runs) {
-                let exercised = run.map(|run| {
+                let exercised = machine.run(&to_vector(genome), &[]).ok().map(|run| {
                     (0..goals.len())
                         .filter(|&i| matcher.matches(i, &run))
                         .collect()
                 });
-                memo.insert(genome.into(), exercised);
+                memo.insert(genome.clone(), exercised);
             }
 
             let mut new_coverage = false;
@@ -753,16 +701,6 @@ fn into_suite(goals: Vec<CoverageGoal>, status: Vec<Option<CoverageStatus>>) -> 
             .map(|(g, s)| (g, s.unwrap_or(CoverageStatus::Unknown)))
             .collect(),
     }
-}
-
-/// How phase 2 of the generator obtains the shared checker model.
-enum SharedSource<'a> {
-    /// The caller already holds a model (or explicitly has none).
-    Ready(Option<&'a SharedCheckModel>),
-    /// The model is built on first need — the staged pipeline's cache
-    /// lookup, deferred so fully heuristic-covered functions never pay for
-    /// optimisation and encoding.
-    Lazy(Box<dyn FnOnce() -> Option<Arc<SharedCheckModel>> + 'a>),
 }
 
 /// How one candidate query's outcome affects its goal.
@@ -1106,37 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_generation_agree_exactly() {
-        // Include goals the heuristic cannot reach (forcing the checker
-        // phase) and an infeasible pair, so every outcome kind is merged.
-        // The vendored worker pool and the checker's explorer both run
-        // inline on a thread named `rayon-shim-*`, which gives the
-        // single-threaded side.
-        let src = r#"
-            void f(int a __range(0, 9000), char b __range(0, 3)) {
-                if (a == 4321) { rare(); }
-                if (b > 2) { p1(); }
-                if (b < 1) { p2(); }
-            }
-        "#;
-        let f = parse_function(src).expect("parse");
-        let lowered = build_cfg(&f);
-        let plan = PartitionPlan::compute(&lowered, 1000);
-        let parallel = HybridGenerator::new().generate(&f, &lowered, &plan);
-        let sequential = std::thread::Builder::new()
-            .name("rayon-shim-inline-probe".to_owned())
-            .spawn(move || HybridGenerator::new().generate(&f, &lowered, &plan))
-            .expect("spawn")
-            .join()
-            .expect("join");
-        assert_eq!(parallel, sequential);
-        assert!(
-            parallel.checker_covered() > 0,
-            "checker phase must have run"
-        );
-    }
-
-    #[test]
     fn batched_and_per_goal_checking_agree_exactly() {
         // Needles for the checker, an infeasible pair, and block goals at a
         // fine partition: every candidate-query shape goes through both the
@@ -1201,15 +1108,26 @@ mod tests {
             })
             .collect();
         let generator = HybridGenerator::new();
-        let shared = generator
-            .checker
-            .prepare_shared(&f, union)
-            .expect("shared model");
+        let shared = Arc::new(
+            generator
+                .checker
+                .prepare_shared(&f, union)
+                .expect("shared model"),
+        );
         for bound in [1u128, 1000] {
             let plan = PartitionPlan::compute(&lowered, bound);
-            let with_model = generator.generate_with_model(&f, &lowered, &plan, Some(&shared));
+            let provided = std::cell::Cell::new(0);
+            let with_model = generator.generate_with_model_provider(&f, &lowered, &plan, || {
+                provided.set(provided.get() + 1);
+                Some(Arc::clone(&shared))
+            });
             let plain = generator.generate(&f, &lowered, &plan);
             assert_eq!(with_model, plain, "bound {bound}");
+            // The model is asked for exactly when a residual batch exists:
+            // at bound 1000 the a == 4321 paths need the checker.
+            let residual = plain.heuristic_covered() < plain.goal_count();
+            assert_eq!(provided.get(), usize::from(residual), "bound {bound}");
+            assert_eq!(residual, bound == 1000, "bound {bound}");
         }
     }
 

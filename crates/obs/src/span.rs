@@ -8,8 +8,9 @@
 //!
 //! * **Disabled is the default and costs one relaxed atomic load** per
 //!   call site.  [`span`] returns an inert guard without touching the
-//!   clock, the thread-local state or any lock; the `obs_overhead` bench
-//!   workload pins the contract (≤ 2 % on a full pipeline workload).
+//!   clock, the thread-local state or any lock.  `perfbench` runs every
+//!   workload with tracing off against the parent build, and `--trace 1`
+//!   reports the enabled cost as `bench.tracing_overhead_pct`.
 //! * **Recording is thread-local.**  An enabled [`span`] reads the
 //!   monotonic clock twice (enter/exit) and pushes one fixed-size
 //!   [`SpanRecord`] onto a thread-local buffer — no allocation per span

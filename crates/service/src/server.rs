@@ -32,7 +32,8 @@
 //! # Scheduling, backpressure, deadlines
 //!
 //! `analyse` and `sweep` requests are enqueued into a bounded queue and
-//! picked up by a pool of scheduler threads (spawned on demand).  When the
+//! picked up by a pool of scheduler threads that every transport starts
+//! with its session ([`Server::with_workers`], at most one per core).  When the
 //! queue is full, the request is *shed* immediately with an `overloaded`
 //! error whose `retry_after_ms` is derived from the measured *median*
 //! latency of that op (the p50 bucket upper bound — robust against one
@@ -84,14 +85,14 @@
 //! worker count delivers them.
 
 use crate::json::{self, Member};
-use crate::latency::LatencySet;
+use crate::latency::{Histogram, LatencySet};
 use crate::memo::ResidentKeys;
 use crate::store::PersistentStore;
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tmg_core::tradeoff::{log_spaced_bounds, sweep_with_counts};
@@ -401,12 +402,8 @@ pub(crate) struct Pending<'env> {
     dedup_key: Option<Arc<str>>,
 }
 
-/// Shared queue state, all under one lock: the per-client lanes, whether
-/// the session is still accepting, and the number of parked-and-unclaimed
-/// workers.  The idle count is *claimed* by the enqueuer at notify time —
-/// checking it after the notify (as a separate atomic would) races against
-/// the worker still waking up and would under-spawn a burst of distinct
-/// jobs onto one thread.
+/// Shared queue state, all under one lock: the per-client lanes and
+/// whether the session is still accepting.
 ///
 /// Jobs are queued into one FIFO lane per client and drained round-robin
 /// across lanes, so a client flooding its own lane delays only itself —
@@ -421,7 +418,6 @@ struct QueueState<'env> {
     /// Total queued jobs across all lanes.
     queued: usize,
     open: bool,
-    idle: usize,
 }
 
 /// Why an admission was declined with a typed `overloaded` error.
@@ -437,9 +433,8 @@ enum ShedReason {
 
 /// How the scheduler accepted (or declined) a request.
 enum Submitted<'env> {
-    /// Queued; `needs_worker` asks the transport to spawn a scheduler
-    /// thread if the cap allows.
-    Queued { needs_worker: bool },
+    /// Queued into the client's lane; one waiting worker was woken.
+    Queued,
     /// Attached as a waiter to an identical in-flight job.
     Attached,
     /// Declined (queue full, quota exhausted, or cost-shed).  The request
@@ -486,7 +481,6 @@ impl<'env> Scheduler<'env> {
                 rotation: VecDeque::new(),
                 queued: 0,
                 open: true,
-                idle: 0,
             }),
             queued: Condvar::new(),
             capacity,
@@ -523,9 +517,7 @@ impl<'env> Scheduler<'env> {
     /// — when deduplicable and an identical job is already queued or
     /// running — registers the request as a waiter on that job (a waiter
     /// consumes no queue slot, so duplicates are never quota- or
-    /// cost-shed).  A queued job claims a parked worker under the queue
-    /// lock, so the caller's spawn decision cannot race the worker's
-    /// wake-up.  Lock order: `in_flight` before `queue`.
+    /// cost-shed).  Lock order: `in_flight` before `queue`.
     fn try_submit(
         &self,
         mut pending: Pending<'env>,
@@ -570,14 +562,8 @@ impl<'env> Scheduler<'env> {
         let lane = pending.lane.clone();
         queue.lanes.entry(lane).or_default().push_back(pending);
         queue.queued += 1;
-        let needs_worker = if queue.idle > 0 {
-            queue.idle -= 1;
-            self.queued.notify_one();
-            false
-        } else {
-            true
-        };
-        Submitted::Queued { needs_worker }
+        self.queued.notify_one();
+        Submitted::Queued
     }
 
     pub(crate) fn close(&self) {
@@ -587,12 +573,6 @@ impl<'env> Scheduler<'env> {
 
     pub(crate) fn next(&self) -> Option<Pending<'env>> {
         let mut guard = self.queue.lock().expect("queue");
-        // Whether this worker is currently counted in `idle`.  A claim
-        // decrements the count at enqueue time; if a *different* worker
-        // steals the job first, our stale park slot merely under-counts
-        // idle workers, which at worst spawns an extra (cap-bounded)
-        // thread — never the reverse.
-        let mut parked = false;
         loop {
             // Round-robin across client lanes: take the front lane's
             // oldest job, then rotate the lane to the back (dropping it
@@ -609,14 +589,7 @@ impl<'env> Scheduler<'env> {
                 return Some(job);
             }
             if !guard.open {
-                if parked {
-                    guard.idle = guard.idle.saturating_sub(1);
-                }
                 return None;
-            }
-            if !parked {
-                guard.idle += 1;
-                parked = true;
             }
             guard = self.queued.wait(guard).expect("queue wait");
         }
@@ -712,6 +685,15 @@ fn cost_sheds(predicted_ms: u64, min_ms: u64, max_ms: u64, queued: usize, capaci
         return false;
     }
     queued * 4 >= capacity * 3 || predicted_ms >= max_ms
+}
+
+/// The measured *median* latency in whole milliseconds (the p50 bucket
+/// upper bound, at least 1), or `None` before any measurement.  The median,
+/// not the mean: one 10-second outlier among millisecond requests must not
+/// tell every shed caller to back off for seconds, nor make a cheap op look
+/// expensive to the cost shedder.
+fn median_ms(histogram: &Histogram) -> Option<u64> {
+    (histogram.count() > 0).then(|| (histogram.quantile_ms(0.50).ceil() as u64).max(1))
 }
 
 /// Prefixes a response body with the echoed `trace_id` member.
@@ -839,7 +821,7 @@ impl Server {
         &self.wire_faults
     }
 
-    pub(crate) fn worker_cap(&self) -> usize {
+    fn worker_cap(&self) -> usize {
         self.workers.min(
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -849,10 +831,6 @@ impl Server {
 
     pub(crate) fn queue_capacity(&self) -> usize {
         self.queue_capacity
-    }
-
-    pub(crate) fn flush_store(&self) {
-        self.store.flush();
     }
 
     /// Serves JSON-lines requests from `reader` until `shutdown` or EOF.
@@ -869,53 +847,48 @@ impl Server {
         writer: W,
     ) -> io::Result<ServeSummary> {
         let writer = Mutex::new(writer);
+        let respond: Respond<'_> = Arc::new(|id, body| write_line(&writer, id, body));
         let scheduler = Scheduler::new(self.queue_capacity, self.effective_quota());
-        let mut clean_shutdown = false;
-        std::thread::scope(|scope| -> io::Result<()> {
-            let respond: Respond<'_> = Arc::new(|id, body| write_line(&writer, id, body));
-            // Workers are spawned on demand: a fresh (non-duplicate) job
-            // only starts a new thread when no existing worker is parked on
-            // the queue and the cap leaves room.  A duplicate-heavy burst
-            // therefore costs as many threads as it has distinct
-            // computations — and never more threads than the host has
-            // cores, because scheduler workers are CPU-bound.
-            let cap = self.worker_cap();
-            let spawned = AtomicUsize::new(0);
-            let spawn_worker = || {
-                let claim = spawned.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < cap).then_some(n + 1)
-                });
-                if claim.is_ok() {
-                    scope.spawn(|| {
-                        while let Some(pending) = scheduler.next() {
-                            self.run_pending(&scheduler, pending);
-                        }
-                    });
-                }
-            };
+        self.run_session(&scheduler, || {
             let mut lines = LineReader::new(reader);
-            loop {
-                let line = match lines.next_line() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => break,
-                    Err(e) => {
-                        scheduler.close();
-                        return Err(e);
-                    }
-                };
-                if self.dispatch(&scheduler, line, &respond, &spawn_worker, "stdio") {
-                    clean_shutdown = true;
-                    break;
+            while let Some(line) = lines.next_line()? {
+                if self.dispatch(&scheduler, line, &respond, "stdio") {
+                    return Ok(true);
                 }
             }
-            if !clean_shutdown {
-                // EOF: same drain + flush as an explicit shutdown, minus
-                // the ack (there is nobody left to read it).
+            Ok(false)
+        })
+    }
+
+    /// Runs one session of a transport: starts the pool of
+    /// [`worker_cap`](Server::worker_cap) scheduler workers, runs
+    /// `transport` on the calling thread until it returns whether the
+    /// session ended with an acknowledged `shutdown`, then tears the session
+    /// down.  Teardown answers everything accepted, persists it and lets the
+    /// workers exit; an acknowledged `shutdown` already drained and flushed
+    /// inside [`dispatch`](Server::dispatch), and EOF or an error gets the
+    /// same drain and flush without the ack, as does a panic, which is
+    /// then resumed.  Parked workers cost nothing but a condvar wait.
+    pub(crate) fn run_session<'env>(
+        &self,
+        scheduler: &Scheduler<'env>,
+        transport: impl FnOnce() -> io::Result<bool>,
+    ) -> io::Result<ServeSummary> {
+        let clean_shutdown = std::thread::scope(|scope| {
+            for _ in 0..self.worker_cap() {
+                scope.spawn(|| {
+                    while let Some(pending) = scheduler.next() {
+                        self.run_pending(scheduler, pending);
+                    }
+                });
+            }
+            let ended = catch_unwind(AssertUnwindSafe(transport));
+            if !matches!(ended, Ok(Ok(true))) {
                 scheduler.barrier();
                 self.store.flush();
             }
             scheduler.close();
-            Ok(())
+            ended.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })?;
         Ok(scheduler.summary(clean_shutdown, true))
     }
@@ -931,7 +904,6 @@ impl Server {
         scheduler: &Scheduler<'env>,
         line: Result<&str, LineError>,
         respond: &Respond<'env>,
-        spawn_worker: &dyn Fn(),
         client: &str,
     ) -> bool {
         scheduler.requests.fetch_add(1, Ordering::Relaxed);
@@ -958,7 +930,6 @@ impl Server {
                     trace,
                     lane,
                     respond,
-                    spawn_worker,
                 );
                 false
             }
@@ -1089,7 +1060,6 @@ impl Server {
         trace: u64,
         lane: String,
         respond: &Respond<'env>,
-        spawn_worker: &dyn Fn(),
     ) {
         let accepted_at = Instant::now();
         if deadline_ms == Some(0) {
@@ -1102,7 +1072,9 @@ impl Server {
             return;
         }
         let deadline = deadline_ms.map(|ms| accepted_at + Duration::from_millis(ms));
-        let predicted = self.predicted_ms(&job);
+        // An op's predicted cost is its measured median latency, 0 while
+        // unmeasured: an unknown op is never cost-shed.
+        let predicted = median_ms(self.histogram(&job)).unwrap_or(0);
         let (min_cost, max_cost) = self.cost_profile();
         let capacity = self.queue_capacity;
         let cost_veto =
@@ -1117,14 +1089,13 @@ impl Server {
             dedup_key: None,
         };
         match scheduler.try_submit(pending, deadline.is_none(), &cost_veto) {
-            Submitted::Queued { needs_worker } => {
-                if needs_worker {
-                    spawn_worker();
-                }
-            }
-            Submitted::Attached => {}
+            Submitted::Queued | Submitted::Attached => {}
             Submitted::Shed(pending, reason) => {
-                let retry = jittered_retry_ms(self.retry_hint_ms(&pending.job), pending.job.id());
+                // Back off for the op's median latency (the typical time for
+                // one queue slot to free up), or 50 ms before any
+                // measurement exists.
+                let hint = median_ms(self.histogram(&pending.job)).unwrap_or(50);
+                let retry = jittered_retry_ms(hint, pending.job.id());
                 scheduler.respond(
                     &pending.respond,
                     pending.job.id(),
@@ -1137,39 +1108,12 @@ impl Server {
         }
     }
 
-    /// How long a shed caller should back off: the measured *median*
-    /// latency of the op (the p50 bucket upper bound — the typical time
-    /// for one queue slot to free up), or 50 ms before any measurement
-    /// exists.  The mean would be hostage to one pathological request: a
-    /// single 10-second outlier among millisecond requests would tell
-    /// every shed caller to back off for seconds.  (The caller adds
-    /// deterministic per-request jitter via [`jittered_retry_ms`].)
-    fn retry_hint_ms(&self, job: &Job) -> u64 {
-        let histogram = match job {
+    /// The latency histogram of `job`'s op.
+    fn histogram(&self, job: &Job) -> &Histogram {
+        match job {
             Job::Analyse { .. } => &self.latency.analyse,
             Job::AnalyseModule { .. } => &self.latency.analyse_module,
             Job::Sweep { .. } => &self.latency.sweep,
-        };
-        if histogram.count() == 0 {
-            50
-        } else {
-            (histogram.quantile_ms(0.50).ceil() as u64).max(1)
-        }
-    }
-
-    /// The cost model behind adaptive shedding: an op's predicted cost is
-    /// its measured median latency (0 while unmeasured — an unknown op is
-    /// never cost-shed).
-    fn predicted_ms(&self, job: &Job) -> u64 {
-        let histogram = match job {
-            Job::Analyse { .. } => &self.latency.analyse,
-            Job::AnalyseModule { .. } => &self.latency.analyse_module,
-            Job::Sweep { .. } => &self.latency.sweep,
-        };
-        if histogram.count() == 0 {
-            0
-        } else {
-            (histogram.quantile_ms(0.50).ceil() as u64).max(1)
         }
     }
 
@@ -1182,8 +1126,7 @@ impl Server {
             &self.latency.sweep,
         ]
         .into_iter()
-        .filter(|h| h.count() > 0)
-        .map(|h| (h.quantile_ms(0.50).ceil() as u64).max(1));
+        .filter_map(median_ms);
         costs.fold((0, 0), |(min, max), cost| {
             if min == 0 {
                 (cost, cost.max(max))
@@ -1238,12 +1181,7 @@ impl Server {
             })
         };
         let body = with_trace(trace, &body);
-        let histogram = match &job {
-            Job::Analyse { .. } => &self.latency.analyse,
-            Job::AnalyseModule { .. } => &self.latency.analyse_module,
-            Job::Sweep { .. } => &self.latency.sweep,
-        };
-        histogram.record(accepted_at.elapsed());
+        self.histogram(&job).record(accepted_at.elapsed());
         let waiters = dedup_key
             .and_then(|key| {
                 scheduler

@@ -15,10 +15,8 @@
 //! written, and then every connection (and the accept loop) is unblocked.
 //! EOF on one connection only ends that connection, never the session.
 //!
-//! Unlike stdin mode (which spawns scheduler workers on demand from its
-//! single dispatch thread), TCP mode spawns the worker pool eagerly at
-//! session start: a TCP session is long-lived, and parked workers cost
-//! nothing but a condvar wait.
+//! Both transports start the same worker pool at session start and share
+//! its teardown (`Server::run_session`).
 
 use crate::fault::{damage, FaultKind, STALL_MS};
 use crate::server::{LineReader, Respond, Scheduler, ServeSummary, Server};
@@ -51,65 +49,52 @@ impl Server {
         // declare no tenant.
         let accepted = AtomicU64::new(0);
 
-        std::thread::scope(|scope| -> io::Result<()> {
-            for _ in 0..self.worker_cap() {
-                scope.spawn(|| {
-                    while let Some(pending) = scheduler.next() {
-                        self.run_pending(&scheduler, pending);
-                    }
-                });
-            }
-            let mut accept_error = None;
-            while !stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
+        self.run_session(&scheduler, || {
+            // Connection threads end once their peer closes or a shutdown
+            // unblocks every reader; the session is torn down after them.
+            std::thread::scope(|scope| {
+                while !stop.load(Ordering::Acquire) {
+                    match listener.accept() {
+                        Ok((stream, _peer)) => {
+                            if stream.set_nonblocking(false).is_err() {
+                                continue;
+                            }
+                            match stream.try_clone() {
+                                Ok(handle) => {
+                                    connections.lock().expect("connections").push(handle);
+                                }
+                                Err(_) => continue,
+                            }
+                            let ordinal = accepted.fetch_add(1, Ordering::Relaxed);
+                            let scheduler = &scheduler;
+                            let stop = &stop;
+                            let clean = &clean;
+                            let connections = &connections;
+                            scope.spawn(move || {
+                                self.serve_connection(
+                                    scheduler,
+                                    stream,
+                                    stop,
+                                    clean,
+                                    connections,
+                                    ordinal,
+                                );
+                            });
                         }
-                        match stream.try_clone() {
-                            Ok(handle) => connections.lock().expect("connections").push(handle),
-                            Err(_) => continue,
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            std::thread::sleep(ACCEPT_POLL);
                         }
-                        let ordinal = accepted.fetch_add(1, Ordering::Relaxed);
-                        let scheduler = &scheduler;
-                        let stop = &stop;
-                        let clean = &clean;
-                        let connections = &connections;
-                        scope.spawn(move || {
-                            self.serve_connection(
-                                scheduler,
-                                stream,
-                                stop,
-                                clean,
-                                connections,
-                                ordinal,
-                            );
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) => {
-                        accept_error = Some(e);
-                        stop.store(true, Ordering::Release);
-                        unblock_all(&connections);
-                        break;
+                        Err(e) => {
+                            stop.store(true, Ordering::Release);
+                            unblock_all(&connections);
+                            return Err(e);
+                        }
                     }
                 }
-            }
-            // Session teardown: answer everything accepted, persist it, and
-            // let the workers and connection threads exit.  A clean
-            // shutdown already drained and flushed inside `dispatch`; both
-            // operations are idempotent.
-            scheduler.barrier();
-            self.flush_store();
-            scheduler.close();
-            match accept_error {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })?;
-        Ok(scheduler.summary(clean.load(Ordering::Acquire), true))
+                Ok(())
+            })?;
+            Ok(clean.load(Ordering::Acquire))
+        })
     }
 
     /// Reads request lines from one connection until EOF, a read error, or
@@ -193,14 +178,11 @@ impl Server {
                 }
             })
         };
-        // The worker pool is eager in TCP mode, so dispatch never needs to
-        // spawn one.
-        let no_spawn = || {};
         let client = format!("conn:{ordinal}");
         // Request lines are bounded (`MAX_REQUEST_BYTES`): an over-long or
         // non-UTF-8 line gets a typed decline and the connection stays up.
         while let Ok(Some(line)) = lines.next_line() {
-            if self.dispatch(scheduler, line, &respond, &no_spawn, &client) {
+            if self.dispatch(scheduler, line, &respond, &client) {
                 // `shutdown`: the drain + flush already happened and the
                 // ack is written.  End the whole session: stop accepting,
                 // then unblock every connection's reader (including ours).

@@ -3,15 +3,17 @@
 //! batches do — verdict, witness and step count — and every feasible
 //! witness must replay on the interpreter under monitor semantics.  At a
 //! budget too small to settle the space, the batch certifies the same
-//! Unknowns as the one-query searches.
+//! Unknowns as the one-query searches.  A batch whose disjoint work trips
+//! the shared run's cap hands its open queries back to one-query searches,
+//! with the same answers.
 
 use tmg_cfg::{build_cfg, enumerate_region_paths};
 use tmg_minic::ast::StmtId;
 use tmg_minic::interp::BranchChoice;
 use tmg_minic::{parse_function, parse_program, Interpreter};
 use tmg_tsys::{
-    encode_function, CheckOutcome, ModelChecker, MultiQueryEngine, Optimisations, PathQuery,
-    PreparedModel,
+    encode_function, slice_for_queries, CheckOutcome, ModelChecker, MultiQueryEngine,
+    Optimisations, PathQuery, PreparedModel,
 };
 
 /// The checker's path-monitor acceptance, replayed over an execution trace.
@@ -217,5 +219,114 @@ fn one_query_budgets_are_exact_on_the_heavy_batch() {
             }
         }
         assert!(unknown > 0, "budget {budget} leaves some query Unknown");
+    }
+}
+
+/// Eight queries that each settle alone but share no work: query `i`
+/// takes `case i` of the first decision, where it splits `b` over 1 000
+/// values.  Odd cases find `b == 900`; even cases ask for a `b` outside
+/// the domain.  The trailing `junk` branch is never queried, so slicing
+/// drops it.
+const DISJOINT_SRC: &str = r#"
+    void f(char k __range(0, 7), int b __range(0, 999)) {
+        int junk;
+        switch (k) {
+            case 0: if (b == 5000) { x0(); } break;
+            case 1: if (b == 900) { x1(); } break;
+            case 2: if (b == 5000) { x2(); } break;
+            case 3: if (b == 900) { x3(); } break;
+            case 4: if (b == 5000) { x4(); } break;
+            case 5: if (b == 900) { x5(); } break;
+            case 6: if (b == 5000) { x6(); } break;
+            case 7: if (b == 900) { x7(); } break;
+            default: other(); break;
+        }
+        junk = b + 1;
+        if (junk > 3) { z(); }
+    }
+"#;
+
+/// The `case i`, `b == …` then query of every case.
+fn disjoint_batch() -> (tmg_minic::Function, Vec<PathQuery>) {
+    use tmg_minic::ast::Stmt;
+    let f = parse_function(DISJOINT_SRC).expect("parse");
+    let Some(Stmt::Switch { id, cases, .. }) = f.body.stmts.first() else {
+        panic!("the switch is the first statement");
+    };
+    let queries = cases
+        .iter()
+        .map(|case| {
+            let [Stmt::If { id: inner, .. }] = case.body.stmts.as_slice() else {
+                panic!("every case is one if");
+            };
+            PathQuery::new(vec![
+                (*id, BranchChoice::Case(case.value)),
+                (*inner, BranchChoice::Then),
+            ])
+        })
+        .collect::<Vec<_>>();
+    assert_eq!(queries.len(), 8);
+    (f, queries)
+}
+
+#[test]
+fn a_tripped_shared_run_answers_like_one_query_searches() {
+    // The budget is one more than the costliest one-query search, so every
+    // query settles alone.  The shared run's cap is four such budgets, and
+    // the eight queries' disjoint work exceeds it on the full model and on
+    // the slice: the queries it leaves open go back to one-query searches
+    // (the fallback of `check_many_shared` with slicing off, of
+    // `check_many_sliced` with it on).
+    let (f, queries) = disjoint_batch();
+    let options = Optimisations::all().encode_options();
+    let model = encode_function(&f, &options);
+    let prepared = PreparedModel::new(&model);
+    let unbounded = ModelChecker::new();
+    let costliest = queries
+        .iter()
+        .map(|query| {
+            let result =
+                MultiQueryEngine::explore(&unbounded, &prepared, std::slice::from_ref(query))
+                    .result(0)
+                    .expect("a batch of one always settles");
+            result.stats.states_created + result.stats.transitions_fired
+        })
+        .max()
+        .expect("queries");
+    let checker = unbounded.with_budget(costliest + 1);
+
+    let union = queries
+        .iter()
+        .flat_map(|q| q.stmts().iter().copied())
+        .collect();
+    let (sliced, _) = slice_for_queries(&f, &union).expect("the junk branch is sliced away");
+    let sliced_model = encode_function(&sliced, &options);
+    for (what, model) in [("full model", &model), ("slice", &sliced_model)] {
+        let engine = MultiQueryEngine::explore(&checker, &PreparedModel::new(model), &queries);
+        assert!(
+            (0..queries.len()).any(|q| engine.outcome(q).is_none()),
+            "the shared run on the {what} should trip its cap"
+        );
+    }
+
+    for slicing in [false, true] {
+        let checker = checker.clone().with_slicing(slicing);
+        let batched = checker.check_many(&f, &queries);
+        let (mut feasible, mut infeasible) = (0, 0);
+        for (query, result) in queries.iter().zip(&batched) {
+            let single = checker.find_test_data(&f, query);
+            // Verdict, witness and step count.
+            assert_eq!(
+                result.outcome, single.outcome,
+                "slicing {slicing}: {:?}",
+                query.decisions
+            );
+            match single.outcome {
+                CheckOutcome::Feasible { .. } => feasible += 1,
+                CheckOutcome::Infeasible => infeasible += 1,
+                CheckOutcome::Unknown => panic!("{:?} does not settle alone", query.decisions),
+            }
+        }
+        assert_eq!((feasible, infeasible), (4, 4), "slicing {slicing}");
     }
 }
